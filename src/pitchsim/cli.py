@@ -155,8 +155,11 @@ def _load_heatmaps(paths, cfg: RunConfig):
     heatmaps = []
     seen = set()
     for path in paths:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        h = heatmap_from_json(doc, extent=DEFAULT_EXTENT)
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            h = heatmap_from_json(doc, extent=DEFAULT_EXTENT)
+        except (PitchsimError, ValueError) as exc:
+            raise PitchsimError(f"{path}: {exc}") from exc
         if (h.grid_ref[0], h.grid_ref[1]) != (cfg.rows, cfg.cols):
             raise PitchsimError(
                 f"{path}: heatmap grid {h.grid_ref[0]}x{h.grid_ref[1]} does not match "

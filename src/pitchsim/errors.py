@@ -13,6 +13,10 @@ class MalformedRecord(PitchsimError):
     """An activity CSV row or header could not be parsed."""
 
 
+class MalformedHeatmap(PitchsimError):
+    """A heatmap JSON document lacks a required field or has one of the wrong type."""
+
+
 class EmptyInput(PitchsimError):
     """No usable input records."""
 

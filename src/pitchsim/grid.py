@@ -174,9 +174,12 @@ class WeightsMatrix:
         """Spatial lag: for each cell i, sum_j w_ij * values[j]."""
         return self._m @ values
 
-    def lag_many(self, batch: np.ndarray) -> np.ndarray:
-        """Row-wise spatial lags of an (m, n) batch of vectors."""
-        return (self._m @ batch.T).T
+    def lag_transpose(self, values: np.ndarray) -> np.ndarray:
+        """Transposed lag: for each cell j, sum_i w_ij * values[i].
+
+        Equals :meth:`lag` for symmetric weights, such as the binary style.
+        """
+        return self._m.T @ values
 
     def pairs(self) -> list[tuple[int, int, float]]:
         """Sparse entries as (i, j, w). Binary matrices list each pair once with i < j."""

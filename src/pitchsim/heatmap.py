@@ -10,7 +10,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInput, MalformedRecord, NonpositiveBandwidth, ZeroMass
+from .errors import (
+    EmptyInput,
+    MalformedHeatmap,
+    MalformedRecord,
+    NonpositiveBandwidth,
+    ZeroMass,
+)
 from .grid import DEFAULT_EXTENT, PitchGrid
 
 __all__ = [
@@ -30,6 +36,9 @@ CSV_HEADER = ["player_id", "x", "y", "value"]
 
 # clamp to avoid delta-function degeneracy as bandwidth -> 0
 MIN_BANDWIDTH = 1e-3
+
+# required fields of a heatmap JSON document and their JSON types
+_HEATMAP_FIELDS = {"player_id": str, "rows": int, "cols": int, "cells": list, "normalized": bool}
 
 
 class ActivityPoint(NamedTuple):
@@ -229,8 +238,30 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
 
     The document carries only rows/cols; the extent comes from the caller's
     configuration and defaults to the normalized field.
+
+    Raises
+    ------
+    MalformedHeatmap
+        If the document is not an object, or a required field is missing
+        or has the wrong type; the message names the field.
+    ValueError
+        If the cell count does not match rows * cols, or a cell is negative
+        or non-finite.
     """
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    if not isinstance(doc, dict):
+        raise MalformedHeatmap(f"heatmap must be a JSON object, got {type(doc).__name__}")
+    for key, kind in _HEATMAP_FIELDS.items():
+        if key not in doc:
+            raise MalformedHeatmap(f"heatmap is missing field {key!r}")
+        value = doc[key]
+        # bool is a subclass of int, but true is not a row count
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise MalformedHeatmap(
+                f"heatmap field {key!r} must be {kind.__name__}, got {type(value).__name__}"
+            )
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc["cells"]):
+        raise MalformedHeatmap("heatmap field 'cells' must hold only numbers")
+    rows, cols = doc["rows"], doc["cols"]
     cells = np.asarray(doc["cells"], dtype=np.float64)
     if cells.shape[0] != rows * cols:
         raise ValueError(
@@ -241,8 +272,8 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
         raise ValueError(f"heatmap {doc.get('player_id')!r} has invalid cell values")
     grid = PitchGrid(rows=rows, cols=cols, extent=tuple(float(v) for v in extent))
     return Heatmap(
-        player_id=str(doc["player_id"]),
+        player_id=doc["player_id"],
         grid_ref=grid.key,
         cells=cells,
-        normalized=bool(doc["normalized"]),
+        normalized=doc["normalized"],
     )

@@ -5,6 +5,10 @@ the cell labels of the second variable are relabeled uniformly at random,
 the statistic recomputed each time, and the one-sided p-value taken as
 (count of permuted values >= observed + 1) / (n_perm + 1). The alternative
 is positive spatial cross-correlation; negative association yields p near 1.
+
+Ties count as >= observed, with a tolerance: ``L_perm >= L_obs - 1e-10 *
+max(1, |L_obs|)``. Permutations come from one Philox stream in fixed-size
+chunks, so memory per test is O(chunk * n) plus n_perm floats for any n_perm.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ __all__ = [
 EXACT_MAX_CELLS = 8
 
 _MASK64 = (1 << 64) - 1
+
+# permutations drawn per chunk of the stream
+_PERM_CHUNK = 1024
+
+# Relative tie tolerance. Lattice symmetries tie with the observed arrangement
+# in exact arithmetic but can round a few ulps apart; 1e-10 is far above that
+# rounding, even on lattices of thousands of cells, and far below real gaps.
+_TIE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -112,7 +124,12 @@ def morans_i(x, w: WeightsMatrix) -> float:
 
 
 def _lee_parts(x, y, w: WeightsMatrix):
-    """Shared setup for Lee's L: centered vectors, x lags, and scale factors."""
+    """Observed Lee's L, centered ``y``, ``W xc`` and the factor scale/denom.
+
+    (W yc[pi]) . (W xc) = yc[pi] . (W^T W xc), so with
+    u = W^T (W xc) * factor, scoring a relabeling pi of ``y`` is one gather
+    and one dot product, L(pi) = yc[pi] @ u.
+    """
     x = _as_vector(x, w.n, "x")
     y = _as_vector(y, w.n, "y")
     row_sums = w.row_sums()
@@ -123,7 +140,9 @@ def _lee_parts(x, y, w: WeightsMatrix):
     yc, ssy = _center(y, "y")
     scale = w.n / float(row_sums @ row_sums)
     denom = math.sqrt(ssx) * math.sqrt(ssy)
-    return xc, yc, w.lag(xc), scale, denom
+    lag_x = w.lag(xc)
+    l_obs = scale * float(lag_x @ w.lag(yc)) / denom
+    return l_obs, yc, lag_x, scale / denom
 
 
 def lees_l(x, y, w: WeightsMatrix) -> float:
@@ -143,15 +162,7 @@ def lees_l(x, y, w: WeightsMatrix) -> float:
     IsolatedCell
         If any cell has no neighbours.
     """
-    _, yc, lag_x, scale, denom = _lee_parts(x, y, w)
-    return scale * float(lag_x @ w.lag(yc)) / denom
-
-
-def _batch_lee(lag_x: np.ndarray, yc: np.ndarray, w: WeightsMatrix,
-               perms: np.ndarray, scale: float, denom: float) -> np.ndarray:
-    """Lee's L for every row of ``perms`` applied as a relabeling of ``yc``."""
-    lag_p = w.lag_many(yc[perms])
-    return scale * (lag_p @ lag_x) / denom
+    return _lee_parts(x, y, w)[0]
 
 
 def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
@@ -160,9 +171,9 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
 
     Holds ``x`` fixed, relabels the cells of ``y`` uniformly at random
     ``n_perm`` times, and counts permuted statistics at least as large as
-    the observed one (ties count). Fully reproducible: the permutation
-    stream is a counter-based generator keyed by ``seed``, so results do
-    not depend on scheduling or thread count.
+    the observed one (ties count, see :func:`_summarize`). Fully
+    reproducible: the permutation stream is a counter-based generator keyed
+    by ``seed``, so results do not depend on scheduling or thread count.
 
     Raises
     ------
@@ -171,19 +182,18 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     """
     if n_perm < 1:
         raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
-    _, yc, lag_x, scale, denom = _lee_parts(x, y, w)
-    n = w.n
-    # One batch holds the identity (row 0) plus every permutation. Keeping
-    # them in a single call matters: the matmul kernels round differently
-    # for different batch shapes, and a permutation equal to the observed
-    # arrangement must compare bitwise-equal to it for ties to count.
-    perms = np.tile(np.arange(n), (n_perm + 1, 1))
+    l_obs, yc, lag_x, factor = _lee_parts(x, y, w)
+    u = w.lag_transpose(lag_x) * factor
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    gen.permuted(perms[1:], axis=1, out=perms[1:])
-    sims = _batch_lee(lag_x, yc, w, perms, scale, denom)
-    l_obs = float(sims[0])
-
-    return _summarize(l_obs, sims[1:], n_perm, int(seed))
+    # chunks continue one stream, so the draws and n_ge ignore the chunk size
+    rows = min(_PERM_CHUNK, n_perm)
+    perms = np.empty((rows, w.n), dtype=np.intp)
+    sims = np.empty(n_perm)
+    for start in range(0, n_perm, rows):
+        m = min(rows, n_perm - start)
+        gen.permuted(np.broadcast_to(np.arange(w.n), (m, w.n)), axis=1, out=perms[:m])
+        sims[start:start + m] = yc[perms[:m]] @ u
+    return _summarize(l_obs, sims, n_perm, int(seed))
 
 
 def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
@@ -202,28 +212,16 @@ def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
     n = w.n
     if n > EXACT_MAX_CELLS:
         raise TooLarge(f"exact test enumerates n! permutations; n={n} exceeds {EXACT_MAX_CELLS}")
-    _, yc, lag_x, scale, denom = _lee_parts(x, y, w)
+    l_obs, yc, lag_x, factor = _lee_parts(x, y, w)
+    u = w.lag_transpose(lag_x) * factor
     perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
-    sims = _batch_lee(lag_x, yc, w, perms, scale, denom)
-    l_obs = float(sims[0])  # identity permutation is enumerated first
-
-    count_ge = int(np.count_nonzero(sims >= l_obs))
-    n_fact = perms.shape[0]
-    mean = float(sims.mean())
-    sd = float(sims.std())
-    z = (l_obs - mean) / sd if sd > 0.0 else float("nan")
-    return TestResult(
-        statistic=l_obs,
-        n_perm=n_fact - 1,
-        n_ge=count_ge - 1,
-        p_value=count_ge / n_fact,
-        z_score=z,
-        seed=0,
-    )
+    # the identity is enumerated first; it is the observed arrangement
+    return _summarize(l_obs, yc[perms[1:]] @ u, perms.shape[0] - 1, 0)
 
 
 def _summarize(l_obs: float, sims: np.ndarray, n_perm: int, seed: int) -> TestResult:
-    n_ge = int(np.count_nonzero(sims >= l_obs))
+    """Test result from observed and permuted L; the one place ties are counted."""
+    n_ge = int(np.count_nonzero(sims >= l_obs - _TIE_RTOL * max(1.0, abs(l_obs))))
     mean = float(sims.mean())
     sd = float(sims.std())
     z = (l_obs - mean) / sd if sd > 0.0 else float("nan")

@@ -248,6 +248,41 @@ class TestCluster:
         assert "duplicate player id" in capsys.readouterr().err
 
 
+class TestMalformedHeatmap:
+    @pytest.mark.parametrize("field,mangle", [
+        ("rows", lambda d: d.pop("rows")),
+        ("cols", lambda d: d.update(cols="20")),
+        ("cells", lambda d: d.update(cells={"0": 1.0})),
+        ("cells", lambda d: d["cells"].__setitem__(0, "0.5")),
+        ("normalized", lambda d: d.update(normalized="yes")),
+        ("player_id", lambda d: d.update(player_id=7)),
+    ])
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_one_error_line_naming_file_and_field(self, five_heatmap_dir, tmp_path,
+                                                  capsys, command, field, mangle):
+        paths = _heatmap_args(five_heatmap_dir)
+        doc = json.loads(open(paths[0], encoding="utf-8").read())
+        mangle(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, str(bad), *paths[1:], "--out", str(tmp_path / "o")]
+        if command == "compare":
+            argv[1:1] = ["gk", "fwd"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: ")
+        assert repr(field) in err[0]
+
+    def test_not_an_object(self, five_heatmap_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]", encoding="utf-8")
+        paths = _heatmap_args(five_heatmap_dir)
+        assert main(["cluster", str(bad), *paths, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: heatmap must be a JSON object, got list"]
+
+
 class TestConfig:
     def test_config_file_applies_and_flags_win(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -159,12 +159,14 @@ class TestWeightsMatrix:
         # cell 0 neighbours cells 1 and 2
         assert np.array_equal(w.lag(v), np.array([5.0, 5.0, 5.0, 5.0]))
 
-    def test_lag_many_matches_lag(self):
-        w = ps.adjacency(ps.build_grid(3, 3), "queen")
-        rng = np.random.default_rng(0)
-        batch = rng.normal(size=(6, 9))
-        stacked = np.stack([w.lag(row) for row in batch])
-        assert np.array_equal(w.lag_many(batch), stacked)
+    def test_lag_transpose_matches_dense_transpose(self):
+        binary = ps.adjacency(ps.build_grid(3, 3), "queen")
+        std = ps.row_standardize(binary)
+        v = np.random.default_rng(0).normal(size=9)
+        assert np.array_equal(binary.lag_transpose(v), binary.lag(v))
+        assert np.allclose(std.lag_transpose(v), std.to_dense().T @ v,
+                           rtol=1e-14, atol=0.0)
+        assert not np.allclose(std.lag_transpose(v), std.lag(v))
 
 
 class TestJsonRoundTrip:

@@ -1,11 +1,14 @@
 """Moran's I, Lee's L, and the permutation tests."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import pitchsim as ps
+from pitchsim import stats
 from pitchsim.errors import (
     EmptyWeights,
     InsufficientPermutations,
@@ -185,6 +188,59 @@ class TestPermutationTest:
         at_most = int(np.count_nonzero(sims >= res.statistic - tol))
         assert at_least <= res.n_ge <= at_most
 
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_counts_match_regenerated_stream_across_chunks(self, standardize):
+        # as above, with a stream that spans several chunks, and with
+        # row-standardized (asymmetric) weights as well as binary ones
+        w = _queen(4, 4)
+        if standardize:
+            w = ps.row_standardize(w)
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=16)
+        y = rng.normal(size=16)
+        n_perm, seed = 2500, 22
+        assert n_perm > 2 * stats._PERM_CHUNK
+        res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
+        assert res.statistic == ps.lees_l(x, y, w)
+
+        perms = np.tile(np.arange(16), (n_perm + 1, 1))
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        gen.permuted(perms[1:], axis=1, out=perms[1:])
+        sims = lee_batch_dense(x, y[perms[1:]], w.to_dense())
+        tol = 1e-9 * (1.0 + abs(res.statistic))
+        at_least = int(np.count_nonzero(sims > res.statistic + tol))
+        at_most = int(np.count_nonzero(sims >= res.statistic - tol))
+        assert at_least <= res.n_ge <= at_most
+
+    @pytest.mark.parametrize("rows,cols,scheme,n_perm", [
+        (2, 2, "rook", 500),
+        (4, 4, "queen", 2500),
+    ])
+    def test_chunk_size_changes_nothing(self, monkeypatch, rows, cols, scheme, n_perm):
+        w = ps.adjacency(ps.build_grid(rows, cols), scheme)
+        rng = np.random.default_rng(rows * cols)
+        x = rng.normal(size=w.n)
+        y = rng.normal(size=w.n)
+        results = []
+        for chunk in (1, 7, stats._PERM_CHUNK):
+            monkeypatch.setattr(stats, "_PERM_CHUNK", chunk)
+            res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=5)
+            results.append((res.n_ge, res.p_value, res.statistic))
+        assert results[0] == results[1] == results[2]
+
+    def test_memory_bounded_in_n_perm(self):
+        w = _queen(14, 20)
+        rng = np.random.default_rng(16)
+        x = rng.random(w.n)
+        y = rng.random(w.n)
+        tracemalloc.start()
+        try:
+            ps.permutation_test(x, y, w, n_perm=99_999, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
     def test_agrees_with_exhaustive_enumeration_on_nine_cells(self):
         w = _rook(3, 3)
         rng = np.random.default_rng(42)
@@ -259,6 +315,41 @@ class TestExactPermutationTest:
         assert res.n_perm == 23
         assert res.n_ge == 3
         assert res.p_value == 4 / 24
+
+    def test_lattice_symmetry_ties_counted(self):
+        # On the 2x2 rook lattice W^T W xc is constant on each diagonal pair
+        # of cells, so every relabeling that swaps within the pairs has the
+        # observed L in exact arithmetic, however the kernel rounds it.
+        w = _rook(2, 2)
+        x = np.array([0.3, 0.1, 0.7, 0.2])
+        y = np.array([0.1, 0.2, 0.2, 0.4])  # mirror-symmetric about the 0-3 diagonal
+        exact = ps.exact_permutation_test(x, y, w)
+        p_oracle, _ = exhaustive_p(x, y, w.to_dense())
+        assert exact.p_value == p_oracle
+        assert (exact.n_ge + 1) % 4 == 0
+
+        # Monte Carlo: rank each regenerated relabeling in exact rational
+        # arithmetic. L orders like (W y[pi]) . (W (n x - sum x)), since the
+        # centering of y and the denominator do not depend on pi.
+        n_perm, seed = 300, 8
+        res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
+        perms = np.tile(np.arange(4), (n_perm, 1))
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        gen.permuted(perms, axis=1, out=perms)
+        dense = w.to_dense()
+        xf = [Fraction(v) for v in x]
+        xs = [4 * v - sum(xf) for v in xf]
+        lag_x = [sum(Fraction(dense[i, j]) * xs[j] for j in range(4)) for i in range(4)]
+
+        def key(perm):
+            yp = [Fraction(y[k]) for k in perm]
+            return sum(lag_x[i] * sum(Fraction(dense[i, j]) * yp[j] for j in range(4))
+                       for i in range(4))
+
+        observed = key(range(4))
+        want = sum(key(p) >= observed for p in perms)
+        assert res.n_ge == want
+        assert 0 < want < n_perm
 
     def test_monte_carlo_converges_to_exact(self):
         w = _rook(2, 2)
