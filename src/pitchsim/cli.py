@@ -134,6 +134,15 @@ def _slug(player_id: str) -> str:
     return s or "player"
 
 
+def _collision(slug: str, first_id: str, first_path, second_id: str, second_path) -> str:
+    """Message for two players whose outputs would share one file name."""
+    if first_id == second_id:
+        return f"player id {first_id!r} appears in both {first_path} and {second_path}"
+    where = first_path if first_path == second_path else f"{first_path} and {second_path}"
+    return (f"{where}: player ids {first_id!r} and {second_id!r} both map to "
+            f"heatmap_{slug}.json")
+
+
 def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
     """Stage all files in a temp dir, then move each into place atomically."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -175,6 +184,7 @@ def _load_heatmaps(paths, cfg: RunConfig):
 def cmd_rasterize(cfg: RunConfig, csv_paths: list[str]) -> int:
     grid = build_grid(cfg.rows, cfg.cols)
     files: dict[str, str] = {}
+    owners: dict[str, tuple[str, str]] = {}  # slug -> (player id, csv path)
     total_drops = 0
     n_players = 0
     for path in csv_paths:
@@ -184,8 +194,11 @@ def cmd_rasterize(cfg: RunConfig, csv_paths: list[str]) -> int:
             raise PitchsimError(f"{path}: {exc}") from exc
         total_drops += drops.total
         for player_id, points in groups.items():
-            h = normalize(rasterize(points, grid, cfg.bandwidth, player_id=player_id))
             slug = _slug(player_id)
+            if slug in owners:
+                raise PitchsimError(_collision(slug, *owners[slug], player_id, path))
+            owners[slug] = (player_id, path)
+            h = normalize(rasterize(points, grid, cfg.bandwidth, player_id=player_id))
             files[f"heatmap_{slug}.json"] = _dump_json(heatmap_to_json(h))
             files[f"heatmap_{slug}.svg"] = heatmap_svg(grid, h.cells, title=player_id)
             n_players += 1

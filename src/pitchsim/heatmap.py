@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -36,6 +37,10 @@ CSV_HEADER = ["player_id", "x", "y", "value"]
 
 # clamp to avoid delta-function degeneracy as bandwidth -> 0
 MIN_BANDWIDTH = 1e-3
+
+# points per matrix product in rasterize: bounds its kernel factors at
+# _POINT_CHUNK * (rows + cols) floats whatever the number of points
+_POINT_CHUNK = 8192
 
 # required fields of a heatmap JSON document and their JSON types
 _HEATMAP_FIELDS = {"player_id": str, "rows": int, "cols": int, "cells": list, "normalized": bool}
@@ -118,19 +123,24 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
         groups: dict[str, list[ActivityPoint]] = {}
+        appends = {}  # player id -> bound append of its list in groups
+        isfinite = math.isfinite
+        # tuple.__new__ builds the namedtuple without its Python-level __new__
+        make = tuple.__new__
         out_of_extent = 0
         negative = 0
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
             if len(row) != 4:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
                 raise MalformedRecord(f"line {lineno}: expected 4 fields, got {len(row)}")
-            pid = row[0].strip()
             try:
-                x, y, value = (float(f) for f in row[1:])
+                x = float(row[1])
+                y = float(row[2])
+                value = float(row[3])
             except ValueError:
                 raise MalformedRecord(f"line {lineno}: non-numeric field in {row!r}") from None
-            if not all(math.isfinite(v) for v in (x, y, value)):
+            if not (isfinite(x) and isfinite(y) and isfinite(value)):
                 raise MalformedRecord(f"line {lineno}: non-finite field in {row!r}")
             if value < 0:
                 negative += 1
@@ -138,7 +148,11 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
             if not (xmin <= x <= xmax and ymin <= y <= ymax):
                 out_of_extent += 1
                 continue
-            groups.setdefault(pid, []).append(ActivityPoint(x, y, value))
+            pid = row[0].strip()
+            append = appends.get(pid)
+            if append is None:
+                append = appends[pid] = groups.setdefault(pid, []).append
+            append(make(ActivityPoint, (x, y, value)))
         if not groups:
             raise EmptyInput("activity CSV has no valid rows")
         return groups, DropCounts(out_of_extent=out_of_extent, negative_value=negative)
@@ -163,6 +177,14 @@ def parse_activity_csv(source, extent=DEFAULT_EXTENT):
     return player_id, points, drops
 
 
+def _axis_factor(p: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
+    """``exp(-a (p_i - c_j)²)`` as a (len(p), len(c)) array, built in one buffer."""
+    k = np.subtract.outer(p, c)
+    k *= k
+    k *= -a
+    return np.exp(k, out=k)
+
+
 def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") -> Heatmap:
     """Smooth weighted centroids onto the grid with an isotropic Gaussian kernel.
 
@@ -170,9 +192,16 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
     Gaussian density with standard deviation ``max(bandwidth, MIN_BANDWIDTH)``
     in field units, evaluated at the cell center. No edge correction is
     applied, so densities near the touchlines are attenuated equally for all
-    players. Points are accumulated in a canonical order with compensated
-    summation, making the output bitwise reproducible and independent of the
-    input ordering.
+    players.
+
+    The kernel factors by axis, ``exp(-(dx² + dy²)/2h²) = exp(-dx²/2h²) ·
+    exp(-dy²/2h²)``, so the sum is a matrix product
+    ``(K_y · diag(value))ᵀ · K_x`` over per-point row and column factors, not
+    compensated summation; it is taken over fixed-size chunks of points,
+    which bounds memory. Points are first put in canonical (x, y, value)
+    order, so the output is bitwise reproducible and independent of the
+    input ordering. It agrees with the direct kernel sum to about 1e-13
+    relative.
 
     Raises
     ------
@@ -188,22 +217,26 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     h = max(float(bandwidth), MIN_BANDWIDTH)
 
-    centers = grid.cell_centers()
-    cx, cy = centers[:, 0], centers[:, 1]
-    norm = 1.0 / (2.0 * math.pi * h * h)
-    inv_two_h2 = 1.0 / (2.0 * h * h)
+    m = len(points)
+    flat = np.fromiter(itertools.chain.from_iterable(points), np.float64, count=3 * m)
+    # one contiguous row per field: lexsort's last key is its primary one
+    fields = flat.reshape(m, 3).T.copy()
+    px, py, value = fields[:, np.lexsort(fields[::-1])]
 
-    acc = np.zeros(grid.n)
-    comp = np.zeros(grid.n)
-    for p in sorted(points):
-        d2 = (cx - p.x) ** 2 + (cy - p.y) ** 2
-        contrib = (p.value * norm) * np.exp(-d2 * inv_two_h2)
-        # Kahan step, one term per point and cell
-        t = contrib - comp
-        s = acc + t
-        comp = (s - acc) - t
-        acc = s
-    return Heatmap(player_id=player_id, grid_ref=grid.key, cells=acc, normalized=False)
+    # flat-index order: row 0 holds every column's x, column 0 every row's y
+    centers = grid.cell_centers()
+    cx = centers[: grid.cols, 0]
+    cy = centers[:: grid.cols, 1]
+    a = 1.0 / (2.0 * h * h)
+    norm = 1.0 / (2.0 * math.pi * h * h)
+    cells = np.zeros((grid.rows, grid.cols))
+    for s in range(0, m, _POINT_CHUNK):
+        chunk = slice(s, s + _POINT_CHUNK)
+        kx = _axis_factor(px[chunk], cx, a)
+        ky = _axis_factor(py[chunk], cy, a)
+        ky *= (value[chunk] * norm)[:, None]
+        cells += ky.T @ kx
+    return Heatmap(player_id=player_id, grid_ref=grid.key, cells=cells.ravel(), normalized=False)
 
 
 def normalize(h: Heatmap) -> Heatmap:

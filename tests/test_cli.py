@@ -124,6 +124,57 @@ class TestRasterize:
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("other", ["a_b", "a/b", "a  b", "_a b_"])
+    def test_colliding_file_names_fail(self, tmp_path, capsys, other):
+        # "a b" and every other id here slug to heatmap_a_b.json
+        path = tmp_path / "both.csv"
+        _write_csv(path, [("a b", ps.ActivityPoint(30.0, 40.0, 1.0)),
+                          (other, ps.ActivityPoint(70.0, 60.0, 1.0))])
+        out = tmp_path / "out"
+        assert main(["rasterize", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert repr("a b") in lines[0] and repr(other) in lines[0]
+        assert "heatmap_a_b.json" in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_colliding_ids_across_files_name_both_files(self, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        _write_csv(first, [("a b", ps.ActivityPoint(30.0, 40.0, 1.0))])
+        _write_csv(second, [("a/b", ps.ActivityPoint(70.0, 60.0, 1.0))])
+        out = tmp_path / "out"
+        assert main(["rasterize", str(first), str(second), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        for part in (repr("a b"), repr("a/b"), str(first), str(second)):
+            assert part in lines[0]
+        assert not out.exists()
+
+    def test_same_id_in_two_files_fails(self, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        _write_csv(first, [("p1", ps.ActivityPoint(30.0, 40.0, 1.0))])
+        _write_csv(second, [("p1", ps.ActivityPoint(70.0, 60.0, 1.0))])
+        out = tmp_path / "out"
+        assert main(["rasterize", str(first), str(second), "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        for part in (repr("p1"), str(first), str(second)):
+            assert part in lines[0]
+        assert not out.exists()
+
+    def test_collision_leaves_existing_outputs_alone(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "heatmap_p1.json").write_text("old", encoding="utf-8")
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        _write_csv(first, [("p1", ps.ActivityPoint(30.0, 40.0, 1.0))])
+        _write_csv(second, [("p1", ps.ActivityPoint(70.0, 60.0, 1.0))])
+        assert main(["rasterize", str(first), str(second), "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["heatmap_p1.json"]
+        assert (out / "heatmap_p1.json").read_text(encoding="utf-8") == "old"
+
 
 class TestCompare:
     def test_distant_players_text_output(self, five_heatmap_dir, capsys):

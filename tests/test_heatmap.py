@@ -2,6 +2,11 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pitchsim as ps
+from pitchsim import heatmap
 from pitchsim.errors import (
     EmptyInput,
     MalformedRecord,
@@ -116,6 +122,46 @@ class TestRasterize:
         direct = kernel_sum_direct([(p.x, p.y, p.value) for p in pts], g.cell_centers(), 8.0)
         assert np.allclose(h.cells, direct, rtol=1e-12, atol=0.0)
 
+    def test_matches_direct_kernel_oracle_on_non_square_grid(self):
+        # rows != cols and cell_width != cell_height, so a swapped row/column
+        # factor or a transposed product cannot agree with the oracle
+        g = ps.build_grid(7, 11, extent=(0.0, 0.0, 105.0, 68.0))
+        assert g.cell_width != g.cell_height
+        rng = np.random.default_rng(21)
+        xy = rng.uniform((0.0, 0.0), (105.0, 68.0), size=(300, 2))
+        values = rng.uniform(0.1, 2.0, 300)
+        pts = [ps.ActivityPoint(float(x), float(y), float(v)) for (x, y), v in zip(xy, values)]
+        h = ps.rasterize(pts, g, 6.0)
+        direct = kernel_sum_direct([(p.x, p.y, p.value) for p in pts], g.cell_centers(), 6.0)
+        assert np.allclose(h.cells, direct, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_point_chunks_match_oracle_and_ignore_order(self, monkeypatch, chunk):
+        monkeypatch.setattr(heatmap, "_POINT_CHUNK", chunk)
+        g = ps.build_grid(7, 11, extent=(0.0, 0.0, 105.0, 68.0))
+        rng = np.random.default_rng(23)
+        pts = [ps.ActivityPoint(float(x), float(y), float(v))
+               for x, y, v in rng.uniform((0.0, 0.0, 0.1), (105.0, 68.0, 2.0), size=(150, 3))]
+        cells = ps.rasterize(pts, g, 6.0).cells
+        direct = kernel_sum_direct([(p.x, p.y, p.value) for p in pts], g.cell_centers(), 6.0)
+        assert np.allclose(cells, direct, rtol=1e-12, atol=0.0)
+        shuffled = [pts[i] for i in rng.permutation(len(pts))]
+        assert np.array_equal(ps.rasterize(shuffled, g, 6.0).cells, cells)
+
+    def test_memory_bounded_in_points(self):
+        # the kernel factors are built one chunk of points at a time, so
+        # memory grows with the points, not with points * (rows + cols)
+        g = ps.build_grid(40, 60)
+        rng = np.random.default_rng(9)
+        pts = [ps.ActivityPoint(*map(float, r)) for r in rng.uniform(0, 100, (50_000, 3))]
+        tracemalloc.start()
+        try:
+            ps.rasterize(pts, g, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
     def test_uniform_centers_equal_in_deep_interior(self):
         # one equal-value point at every cell center; cells far enough from
         # the boundary all see the same truncated kernel sum
@@ -140,6 +186,43 @@ class TestRasterize:
             order = np.random.default_rng(seed).permutation(len(pts))
             shuffled = [pts[i] for i in order]
             assert np.array_equal(ps.rasterize(shuffled, g, 6.0).cells, base)
+
+    def test_input_order_invariance_bitwise_with_tied_sort_keys(self):
+        # points sharing x, and points sharing (x, y) with different values,
+        # must still be summed in one order whatever order they arrive in
+        g = ps.build_grid(5, 6)
+        rng = np.random.default_rng(13)
+        pts = []
+        for x in rng.uniform(0, 100, 6):
+            for y in rng.uniform(0, 100, 4):
+                pts += [ps.ActivityPoint(float(x), float(y), float(v))
+                        for v in rng.uniform(0.1, 2.0, 3)]
+        pts += pts[:5]  # exact duplicates too
+        base = ps.rasterize(pts, g, 6.0).cells
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(len(pts))
+            shuffled = [pts[i] for i in order]
+            assert np.array_equal(ps.rasterize(shuffled, g, 6.0).cells, base)
+
+    def test_blas_thread_count_does_not_change_cells(self):
+        script = (
+            "import sys, numpy as np, pitchsim as ps\n"
+            "rng = np.random.default_rng(17)\n"
+            "pts = [ps.ActivityPoint(*map(float, r)) for r in rng.uniform(0, 100, (20000, 3))]\n"
+            "cells = ps.rasterize(pts, ps.build_grid(14, 20), 5.0).cells\n"
+            "sys.stdout.write(cells.tobytes().hex())\n"
+        )
+        package_root = str(Path(ps.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=package_root)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0]) == 2 * 8 * 14 * 20
+        assert outputs[0] == outputs[1]
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
