@@ -38,9 +38,6 @@ from .grid import (
     WeightsMatrix,
     adjacency,
     build_grid,
-    grid_weights_from_json,
-    grid_weights_to_json,
-    row_standardize,
 )
 from .heatmap import (
     MIN_BANDWIDTH,
@@ -50,18 +47,15 @@ from .heatmap import (
     heatmap_from_json,
     heatmap_to_json,
     normalize,
-    parse_activity_csv,
     parse_activity_groups,
     rasterize,
 )
 from .roster import (
     RosterMatrix,
     compute_matrix,
-    matrix_from_json,
     matrix_to_json,
     pair_seed,
     pairs_to_csv,
-    to_similarity,
 )
 from .stats import (
     EXACT_MAX_CELLS,
@@ -111,22 +105,16 @@ __all__ = [
     "cut",
     "exact_permutation_test",
     "export_newick",
-    "grid_weights_from_json",
-    "grid_weights_to_json",
     "heatmap_from_json",
     "heatmap_to_json",
     "lees_l",
-    "matrix_from_json",
     "matrix_to_json",
     "merges_to_json",
     "morans_i",
     "normalize",
     "pair_seed",
     "pairs_to_csv",
-    "parse_activity_csv",
     "parse_activity_groups",
     "permutation_test",
     "rasterize",
-    "row_standardize",
-    "to_similarity",
 ]

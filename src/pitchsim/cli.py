@@ -17,7 +17,7 @@ import numpy as np
 from . import cluster as hc
 from . import roster as rm
 from .errors import PitchsimError, UnknownPlayer
-from .grid import DEFAULT_EXTENT, adjacency, build_grid
+from .grid import DEFAULT_EXTENT, PitchGrid, adjacency, build_grid
 from .heatmap import (
     heatmap_from_json,
     heatmap_to_json,
@@ -44,8 +44,7 @@ class RunConfig:
     out: Path = Path("out")
 
     def validate(self) -> None:
-        if self.rows < 2 or self.cols < 2:
-            raise ValueError(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
+        PitchGrid(self.rows, self.cols)  # the grid-size rule
         if self.scheme not in ("rook", "queen"):
             raise ValueError(f"scheme must be rook or queen, got {self.scheme!r}")
         if self.bandwidth <= 0:
@@ -70,10 +69,13 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key, value = key.strip().replace("-", "_"), value.strip()
         if key not in types:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = types[key](value.strip())
+        try:
+            values[key] = types[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: invalid value for {key!r}: {value!r}") from None
     return values
 
 
@@ -234,7 +236,8 @@ def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
             "player_b": player_b,
             "lee_l": res.statistic,
             "p_value": res.p_value,
-            "z_score": res.z_score,
+            # NaN is not JSON: a degenerate permutation distribution has no z
+            "z_score": res.z_score if math.isfinite(res.z_score) else None,
             "n_perm": res.n_perm,
             "n_ge": res.n_ge,
             "seed": res.seed,

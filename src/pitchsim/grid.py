@@ -15,9 +15,6 @@ __all__ = [
     "WeightsMatrix",
     "build_grid",
     "adjacency",
-    "row_standardize",
-    "grid_weights_to_json",
-    "grid_weights_from_json",
 ]
 
 # (xmin, ymin, xmax, ymax) in normalized field coordinates
@@ -32,8 +29,7 @@ class PitchGrid:
 
     ``rows`` counts cells across the field width (y axis), ``cols`` across
     the field length (x axis). Cell ``(r, c)`` has flat index ``r * cols + c``.
-    Direct construction admits 1-row or 1-column lattices for testing;
-    :func:`build_grid` is stricter and is what the pipeline uses.
+    Both counts must be at least 2.
     """
 
     rows: int
@@ -41,10 +37,8 @@ class PitchGrid:
     extent: tuple[float, float, float, float] = DEFAULT_EXTENT
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1 or self.rows * self.cols < 2:
-            raise InvalidDimension(
-                f"grid must have at least 2 cells, got {self.rows}x{self.cols}"
-            )
+        if self.rows < 2 or self.cols < 2:
+            raise InvalidDimension(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
         xmin, ymin, xmax, ymax = self.extent
         if not (xmax > xmin and ymax > ymin):
             raise InvalidDimension(f"degenerate extent {self.extent!r}")
@@ -97,15 +91,13 @@ class PitchGrid:
 
 
 class WeightsMatrix:
-    """Sparse symmetric spatial weights over grid cells.
+    """Binary contiguity weights over grid cells.
 
-    Stores an n-by-n CSR matrix with zero diagonal and nonnegative entries.
-    ``style`` is ``"binary"`` (0/1, symmetric) or ``"row_standardized"``
-    (each nonzero row sums to 1). ``scheme`` records the contiguity rule the
-    matrix was built from, when known.
+    Stores an n-by-n CSR matrix of 0/1 entries, symmetric with a zero
+    diagonal.
     """
 
-    def __init__(self, matrix, style: str = "binary", scheme: str | None = None):
+    def __init__(self, matrix):
         m = sparse.csr_array(matrix, dtype=np.float64)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"weights matrix must be square, got {m.shape}")
@@ -113,48 +105,27 @@ class WeightsMatrix:
         m.sort_indices()
         if m.diagonal().any():
             raise ValueError("weights matrix must have a zero diagonal")
-        if m.nnz and m.data.min() < 0:
-            raise ValueError("weights must be nonnegative")
-        if style == "binary":
-            if m.nnz and not np.all((m.data == 0) | (m.data == 1)):
-                raise ValueError("binary weights must be 0 or 1")
-            if (m != m.T).nnz:
-                raise ValueError("binary weights must be symmetric")
-        elif style != "row_standardized":
-            raise ValueError(f"unknown weights style {style!r}")
+        if not np.all(m.data == 1):
+            raise ValueError("weights must be 0 or 1")
+        if (m != m.T).nnz:
+            raise ValueError("weights must be symmetric")
         self._m = m
-        self.style = style
-        self.scheme = scheme
 
     @classmethod
-    def from_pairs(cls, n: int, pairs, style: str = "binary", scheme: str | None = None):
-        """Build from an iterable of (i, j) or (i, j, w) entries.
+    def from_pairs(cls, n: int, pairs):
+        """Build from an iterable of (i, j) neighbour pairs.
 
-        For the binary style each pair is stored symmetrically; weights
-        default to 1.
+        Each pair is stored symmetrically; duplicates collapse to one 1.
         """
-        rows, cols, data = [], [], []
-        for entry in pairs:
-            if len(entry) == 2:
-                i, j = entry
-                w = 1.0
-            else:
-                i, j, w = entry
+        rows, cols = [], []
+        for i, j in pairs:
             if i == j:
                 raise ValueError(f"self-neighbour entry ({i}, {j})")
-            rows.append(i)
-            cols.append(j)
-            data.append(float(w))
-            if style == "binary":
-                rows.append(j)
-                cols.append(i)
-                data.append(float(w))
-        m = sparse.coo_array((data, (rows, cols)), shape=(n, n))
-        # duplicate undirected pairs collapse to a single 1
-        m = sparse.csr_array(m)
-        if style == "binary":
-            m.data = np.minimum(m.data, 1.0)
-        return cls(m, style=style, scheme=scheme)
+            rows += (i, j)
+            cols += (j, i)
+        m = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+        m.data = np.minimum(m.data, 1.0)
+        return cls(m)
 
     @property
     def n(self) -> int:
@@ -173,24 +144,6 @@ class WeightsMatrix:
     def lag(self, values: np.ndarray) -> np.ndarray:
         """Spatial lag: for each cell i, sum_j w_ij * values[j]."""
         return self._m @ values
-
-    def lag_transpose(self, values: np.ndarray) -> np.ndarray:
-        """Transposed lag: for each cell j, sum_i w_ij * values[i].
-
-        Equals :meth:`lag` for symmetric weights, such as the binary style.
-        """
-        return self._m.T @ values
-
-    def pairs(self) -> list[tuple[int, int, float]]:
-        """Sparse entries as (i, j, w). Binary matrices list each pair once with i < j."""
-        coo = sparse.coo_array(self._m)
-        out = []
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            if self.style == "binary" and i >= j:
-                continue
-            out.append((int(i), int(j), float(w)))
-        out.sort()
-        return out
 
     def to_dense(self) -> np.ndarray:
         return self._m.toarray()
@@ -211,8 +164,6 @@ def build_grid(rows: int, cols: int, extent=DEFAULT_EXTENT) -> PitchGrid:
     InvalidDimension
         If rows < 2, cols < 2, or the extent has nonpositive width/height.
     """
-    if rows < 2 or cols < 2:
-        raise InvalidDimension(f"grid must be at least 2x2, got {rows}x{cols}")
     return PitchGrid(rows=rows, cols=cols, extent=tuple(float(v) for v in extent))
 
 
@@ -238,39 +189,4 @@ def adjacency(grid: PitchGrid, scheme: str = "queen") -> WeightsMatrix:
                         pairs.append((i, i + cols + 1))
                     if c - 1 >= 0:
                         pairs.append((i, i + cols - 1))
-    return WeightsMatrix.from_pairs(grid.n, pairs, style="binary", scheme=scheme)
-
-
-def row_standardize(w: WeightsMatrix) -> WeightsMatrix:
-    """Scale each nonzero row to sum to 1; zero rows are preserved."""
-    if w.style != "binary":
-        raise ValueError("row_standardize expects binary weights")
-    m = w._m.copy()
-    sums = w.row_sums()
-    scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    m.data = m.data * np.repeat(scale, np.diff(m.indptr))
-    return WeightsMatrix(m, style="row_standardized", scheme=w.scheme)
-
-
-def grid_weights_to_json(grid: PitchGrid, w: WeightsMatrix) -> dict:
-    """JSON document for a grid plus its weights."""
-    if w.n != grid.n:
-        raise ValueError(f"weights size {w.n} does not match grid with {grid.n} cells")
-    return {
-        "rows": grid.rows,
-        "cols": grid.cols,
-        "extent": [float(v) for v in grid.extent],
-        "scheme": w.scheme,
-        "style": w.style,
-        "pairs": [[i, j, wv] for i, j, wv in w.pairs()],
-    }
-
-
-def grid_weights_from_json(doc: dict) -> tuple[PitchGrid, WeightsMatrix]:
-    grid = PitchGrid(
-        rows=int(doc["rows"]), cols=int(doc["cols"]), extent=tuple(doc["extent"])
-    )
-    w = WeightsMatrix.from_pairs(
-        grid.n, doc["pairs"], style=doc.get("style", "binary"), scheme=doc.get("scheme")
-    )
-    return grid, w
+    return WeightsMatrix.from_pairs(grid.n, pairs)

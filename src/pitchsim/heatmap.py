@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -18,13 +17,12 @@ from .errors import (
     NonpositiveBandwidth,
     ZeroMass,
 )
-from .grid import DEFAULT_EXTENT, PitchGrid
+from .grid import DEFAULT_EXTENT, PitchGrid, build_grid
 
 __all__ = [
     "ActivityPoint",
     "Heatmap",
     "DropCounts",
-    "parse_activity_csv",
     "parse_activity_groups",
     "rasterize",
     "normalize",
@@ -83,9 +81,6 @@ class DropCounts:
 
 def _open_text(source):
     if hasattr(source, "read"):
-        first = source.read(0)
-        if isinstance(first, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8"), False
         return source, False
     return open(source, "r", encoding="utf-8", newline=""), True
 
@@ -93,7 +88,7 @@ def _open_text(source):
 def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     """Parse a combined activity CSV, grouping rows by player id.
 
-    ``source`` is a path or an open stream with header
+    ``source`` is a path or an open text stream with header
     ``player_id,x,y,value``. Rows outside the extent or with a negative
     value are dropped and counted; non-numeric fields abort the parse.
 
@@ -159,22 +154,6 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     finally:
         if owned:
             stream.close()
-
-
-def parse_activity_csv(source, extent=DEFAULT_EXTENT):
-    """Parse a single-player activity CSV.
-
-    Returns (player_id, points, drops); raises ValueError if the file
-    mixes several player ids.
-    """
-    groups, drops = parse_activity_groups(source, extent=extent)
-    if len(groups) != 1:
-        raise ValueError(
-            f"expected one player per file, found {sorted(groups)}; "
-            "use parse_activity_groups for combined files"
-        )
-    player_id, points = next(iter(groups.items()))
-    return player_id, points, drops
 
 
 def _axis_factor(p: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
@@ -277,6 +256,8 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
     MalformedHeatmap
         If the document is not an object, or a required field is missing
         or has the wrong type; the message names the field.
+    InvalidDimension
+        If rows or cols is below 2.
     ValueError
         If the cell count does not match rows * cols, or a cell is negative
         or non-finite.
@@ -294,16 +275,20 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
             )
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc["cells"]):
         raise MalformedHeatmap("heatmap field 'cells' must hold only numbers")
-    rows, cols = doc["rows"], doc["cols"]
-    cells = np.asarray(doc["cells"], dtype=np.float64)
-    if cells.shape[0] != rows * cols:
+    grid = build_grid(doc["rows"], doc["cols"], extent)
+    try:
+        cells = np.asarray(doc["cells"], dtype=np.float64)
+    except OverflowError:
+        raise MalformedHeatmap(
+            "heatmap field 'cells' holds a number too large for float64"
+        ) from None
+    if cells.shape[0] != grid.n:
         raise ValueError(
             f"heatmap {doc.get('player_id')!r} has {cells.shape[0]} cells, "
-            f"expected {rows * cols}"
+            f"expected {grid.n}"
         )
     if not np.all(np.isfinite(cells)) or cells.min() < 0:
         raise ValueError(f"heatmap {doc.get('player_id')!r} has invalid cell values")
-    grid = PitchGrid(rows=rows, cols=cols, extent=tuple(float(v) for v in extent))
     return Heatmap(
         player_id=doc["player_id"],
         grid_ref=grid.key,

@@ -17,10 +17,8 @@ from .stats import TestResult, permutation_test
 __all__ = [
     "RosterMatrix",
     "compute_matrix",
-    "to_similarity",
     "pair_seed",
     "matrix_to_json",
-    "matrix_from_json",
     "pairs_to_csv",
 ]
 
@@ -152,11 +150,6 @@ def _fill(pmat: np.ndarray, lmat: np.ndarray, results) -> None:
         lmat[i, j] = lmat[j, i] = res.statistic
 
 
-def to_similarity(m: RosterMatrix) -> np.ndarray:
-    """Similarity matrix: entry-wise one minus the p-value."""
-    return 1.0 - m.pseudo_distance
-
-
 def matrix_to_json(m: RosterMatrix) -> dict:
     return {
         "player_ids": list(m.player_ids),
@@ -165,16 +158,6 @@ def matrix_to_json(m: RosterMatrix) -> dict:
         "p": [[float(v) for v in row] for row in m.pseudo_distance],
         "l": [[float(v) for v in row] for row in m.statistic],
     }
-
-
-def matrix_from_json(doc: dict) -> RosterMatrix:
-    return RosterMatrix(
-        player_ids=tuple(doc["player_ids"]),
-        pseudo_distance=np.asarray(doc["p"], dtype=np.float64),
-        statistic=np.asarray(doc["l"], dtype=np.float64),
-        n_perm=int(doc["n_perm"]),
-        master_seed=int(doc["master_seed"]),
-    )
 
 
 def pairs_to_csv(m: RosterMatrix) -> str:

@@ -126,8 +126,8 @@ def morans_i(x, w: WeightsMatrix) -> float:
 def _lee_parts(x, y, w: WeightsMatrix):
     """Observed Lee's L, centered ``y``, ``W xc`` and the factor scale/denom.
 
-    (W yc[pi]) . (W xc) = yc[pi] . (W^T W xc), so with
-    u = W^T (W xc) * factor, scoring a relabeling pi of ``y`` is one gather
+    W is symmetric, so (W yc[pi]) . (W xc) = yc[pi] . (W W xc), and with
+    u = W (W xc) * factor, scoring a relabeling pi of ``y`` is one gather
     and one dot product, L(pi) = yc[pi] @ u.
     """
     x = _as_vector(x, w.n, "x")
@@ -183,7 +183,7 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     if n_perm < 1:
         raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
     l_obs, yc, lag_x, factor = _lee_parts(x, y, w)
-    u = w.lag_transpose(lag_x) * factor
+    u = w.lag(lag_x) * factor
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     # chunks continue one stream, so the draws and n_ge ignore the chunk size
     rows = min(_PERM_CHUNK, n_perm)
@@ -213,7 +213,7 @@ def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
     if n > EXACT_MAX_CELLS:
         raise TooLarge(f"exact test enumerates n! permutations; n={n} exceeds {EXACT_MAX_CELLS}")
     l_obs, yc, lag_x, factor = _lee_parts(x, y, w)
-    u = w.lag_transpose(lag_x) * factor
+    u = w.lag(lag_x) * factor
     perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
     # the identity is enumerated first; it is the observed arrangement
     return _summarize(l_obs, yc[perms[1:]] @ u, perms.shape[0] - 1, 0)

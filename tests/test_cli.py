@@ -207,6 +207,22 @@ class TestCompare:
         assert a["p_value"] == b["p_value"]
         assert a["seed"] == b["seed"]
 
+    @pytest.mark.parametrize("n_perm", [1, 999])
+    def test_json_output_is_strict_json(self, five_heatmap_dir, capsys, n_perm):
+        # one permutation gives a one-valued distribution, so no z-score
+        assert main(["compare", "gk", "fwd", "--json", "--n-perm", str(n_perm),
+                     *_heatmap_args(five_heatmap_dir)]) == 0
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["n_perm"] == n_perm
+        if n_perm == 1:
+            assert doc["z_score"] is None
+        else:
+            assert isinstance(doc["z_score"], float)
+
     def test_unknown_player_fails(self, five_heatmap_dir, capsys):
         assert main(["compare", "gk", "striker",
                      *_heatmap_args(five_heatmap_dir)]) == 1
@@ -250,10 +266,12 @@ class TestCluster:
     def test_matrix_json_is_consistent(self, nine_out):
         _, out = nine_out
         doc = json.loads((out / "matrix.json").read_text())
-        m = ps.matrix_from_json(doc)
-        assert m.n_perm == 999 and m.master_seed == 0
-        assert np.array_equal(m.pseudo_distance, m.pseudo_distance.T)
-        assert np.all(np.diag(m.pseudo_distance) == 1 / 1000)
+        assert doc["n_perm"] == 999 and doc["master_seed"] == 0
+        assert doc["player_ids"] == [f"z{z}_{k}" for z in range(3) for k in range(3)]
+        p = np.asarray(doc["p"])
+        assert p.shape == np.asarray(doc["l"]).shape == (9, 9)
+        assert np.array_equal(p, p.T)
+        assert np.all(np.diag(p) == 1 / 1000)
 
     def test_histogram_counts_cover_all_pairs(self, nine_out):
         _, out = nine_out
@@ -311,12 +329,13 @@ class TestMalformedHeatmap:
         ("cells", lambda d: d["cells"].__setitem__(0, "0.5")),
         ("normalized", lambda d: d.update(normalized="yes")),
         ("player_id", lambda d: d.update(player_id=7)),
+        ("cells", lambda d: d["cells"].__setitem__(0, 10**400)),
     ])
     @pytest.mark.parametrize("command", ["cluster", "compare"])
     def test_one_error_line_naming_file_and_field(self, five_heatmap_dir, tmp_path,
                                                   capsys, command, field, mangle):
         paths = _heatmap_args(five_heatmap_dir)
-        doc = json.loads(open(paths[0], encoding="utf-8").read())
+        doc = json.loads(Path(paths[0]).read_text(encoding="utf-8"))
         mangle(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
@@ -336,6 +355,16 @@ class TestMalformedHeatmap:
         assert main(["cluster", str(bad), *paths, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}: heatmap must be a JSON object, got list"]
+
+    @pytest.mark.parametrize("rows,cells", [(1, [0.25] * 4), (0, [])])
+    def test_grid_below_2x2_fails(self, tmp_path, capsys, rows, cells):
+        thin = tmp_path / "thin.json"
+        thin.write_text(json.dumps({"player_id": "p", "rows": rows, "cols": 4,
+                                    "cells": cells, "normalized": True}),
+                        encoding="utf-8")
+        assert main(["cluster", str(thin), str(thin), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {thin}: grid must be at least 2x2, got {rows}x4"]
 
 
 def _declared_script(name):
@@ -381,6 +410,14 @@ class TestConfig:
         assert main(["rasterize", "x.csv", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_unconvertible_config_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("cols=10\nrows=abc\n", encoding="utf-8")
+        assert main(["rasterize", "x.csv", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}:2: invalid value for 'rows': 'abc'"]
 
     def test_invalid_values_fail_validation(self, tmp_path, capsys):
         assert main(["rasterize", "x.csv", "--rows", "1",

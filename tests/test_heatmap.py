@@ -31,46 +31,45 @@ def _csv(text: str) -> io.StringIO:
 
 class TestParsing:
     def test_single_center_row(self):
-        pid, points, drops = ps.parse_activity_csv(_csv("player_id,x,y,value\np1,50,50,3.0\n"))
-        assert pid == "p1"
-        assert points == [ps.ActivityPoint(50.0, 50.0, 3.0)]
+        groups, drops = ps.parse_activity_groups(_csv("player_id,x,y,value\np1,50,50,3.0\n"))
+        assert groups == {"p1": [ps.ActivityPoint(50.0, 50.0, 3.0)]}
         assert drops.total == 0
 
     def test_negative_value_dropped_and_counted(self):
-        _, points, drops = ps.parse_activity_csv(
+        groups, drops = ps.parse_activity_groups(
             _csv("player_id,x,y,value\np1,50,50,3.0\np1,40,40,-1\n")
         )
-        assert len(points) == 1
+        assert len(groups["p1"]) == 1
         assert drops.negative_value == 1 and drops.total == 1
 
     def test_out_of_extent_dropped_and_counted(self):
-        _, points, drops = ps.parse_activity_csv(
+        groups, drops = ps.parse_activity_groups(
             _csv("player_id,x,y,value\np1,50,50,3.0\np1,150,50,1.0\n")
         )
-        assert len(points) == 1
+        assert len(groups["p1"]) == 1
         assert drops.out_of_extent == 1 and drops.total == 1
 
     def test_non_numeric_field_aborts_with_line_number(self):
         with pytest.raises(MalformedRecord, match="line 3"):
-            ps.parse_activity_csv(
+            ps.parse_activity_groups(
                 _csv("player_id,x,y,value\np1,50,50,3.0\np1,oops,50,1.0\n")
             )
 
     def test_non_finite_field_rejected(self):
         with pytest.raises(MalformedRecord, match="non-finite"):
-            ps.parse_activity_csv(_csv("player_id,x,y,value\np1,nan,50,1.0\n"))
+            ps.parse_activity_groups(_csv("player_id,x,y,value\np1,nan,50,1.0\n"))
 
     def test_bad_header_rejected(self):
         with pytest.raises(MalformedRecord, match="header"):
-            ps.parse_activity_csv(_csv("id,x,y,v\np1,1,1,1\n"))
+            ps.parse_activity_groups(_csv("id,x,y,v\np1,1,1,1\n"))
 
     def test_empty_file_rejected(self):
         with pytest.raises(EmptyInput):
-            ps.parse_activity_csv(_csv(""))
+            ps.parse_activity_groups(_csv(""))
 
     def test_no_valid_rows_rejected(self):
         with pytest.raises(EmptyInput):
-            ps.parse_activity_csv(_csv("player_id,x,y,value\np1,150,150,1\n"))
+            ps.parse_activity_groups(_csv("player_id,x,y,value\np1,150,150,1\n"))
 
     def test_groups_keep_first_seen_order(self):
         groups, _ = ps.parse_activity_groups(
@@ -79,15 +78,11 @@ class TestParsing:
         assert list(groups) == ["b", "a"]
         assert len(groups["b"]) == 2
 
-    def test_single_player_wrapper_rejects_mixed_file(self):
-        with pytest.raises(ValueError, match="one player"):
-            ps.parse_activity_csv(_csv("player_id,x,y,value\na,1,1,1\nb,2,2,1\n"))
-
     def test_boundary_points_kept(self):
-        _, points, drops = ps.parse_activity_csv(
+        groups, drops = ps.parse_activity_groups(
             _csv("player_id,x,y,value\np1,0,0,1\np1,100,100,1\n")
         )
-        assert len(points) == 2 and drops.total == 0
+        assert len(groups["p1"]) == 2 and drops.total == 0
 
 
 class TestRasterize:

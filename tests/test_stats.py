@@ -188,13 +188,9 @@ class TestPermutationTest:
         at_most = int(np.count_nonzero(sims >= res.statistic - tol))
         assert at_least <= res.n_ge <= at_most
 
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_counts_match_regenerated_stream_across_chunks(self, standardize):
-        # as above, with a stream that spans several chunks, and with
-        # row-standardized (asymmetric) weights as well as binary ones
+    def test_counts_match_regenerated_stream_across_chunks(self):
+        # as above, with a stream that spans several chunks
         w = _queen(4, 4)
-        if standardize:
-            w = ps.row_standardize(w)
         rng = np.random.default_rng(15)
         x = rng.normal(size=16)
         y = rng.normal(size=16)
