@@ -55,6 +55,7 @@ from .roster import (
     compute_matrix,
     matrix_to_json,
     pair_seed,
+    pair_test,
     pairs_to_csv,
 )
 from .stats import (
@@ -113,6 +114,7 @@ __all__ = [
     "morans_i",
     "normalize",
     "pair_seed",
+    "pair_test",
     "pairs_to_csv",
     "parse_activity_groups",
     "permutation_test",

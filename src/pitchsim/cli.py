@@ -25,6 +25,7 @@ from .heatmap import (
     parse_activity_groups,
     rasterize,
 )
+# unused here; perfbench/tracer.py wraps cli.permutation_test by name
 from .stats import permutation_test
 from .svg import bar_chart_svg, heatmap_svg, matrix_svg
 
@@ -47,12 +48,12 @@ class RunConfig:
         PitchGrid(self.rows, self.cols)  # the grid-size rule
         if self.scheme not in ("rook", "queen"):
             raise ValueError(f"scheme must be rook or queen, got {self.scheme!r}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.n_perm < 1:
             raise ValueError(f"n-perm must be >= 1, got {self.n_perm}")
-        if self.cut < 0:
-            raise ValueError(f"cut must be >= 0, got {self.cut}")
+        if not (math.isfinite(self.cut) and self.cut >= 0):
+            raise ValueError(f"cut must be finite and >= 0, got {self.cut}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -220,16 +221,8 @@ def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
             raise UnknownPlayer(f"player {pid!r} not found; have {sorted(heatmaps)}")
     grid = build_grid(cfg.rows, cfg.cols)
     w = adjacency(grid, cfg.scheme)
-    ia = sorted(heatmaps).index(player_a)
-    ib = sorted(heatmaps).index(player_b)
-    seed = rm.pair_seed(cfg.seed, min(ia, ib), max(ia, ib))
-    # the test permutes the second map's labels, so orient the pair
-    # canonically: compare a b and compare b a must agree exactly
-    first, second = (player_a, player_b) if ia <= ib else (player_b, player_a)
-    res = permutation_test(
-        heatmaps[first].cells, heatmaps[second].cells, w,
-        n_perm=cfg.n_perm, seed=seed,
-    )
+    res = rm.pair_test(heatmaps[player_a], heatmaps[player_b], w,
+                       n_perm=cfg.n_perm, master_seed=cfg.seed)
     if as_json:
         print(_dump_json({
             "player_a": player_a,

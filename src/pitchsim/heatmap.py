@@ -187,12 +187,12 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
     EmptyInput
         If ``points`` is empty.
     NonpositiveBandwidth
-        If ``bandwidth`` <= 0.
+        If ``bandwidth`` is not > 0 (NaN included).
     """
     points = list(points)
     if not points:
         raise EmptyInput("rasterize needs at least one activity point")
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     h = max(float(bandwidth), MIN_BANDWIDTH)
 

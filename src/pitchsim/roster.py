@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ __all__ = [
     "RosterMatrix",
     "compute_matrix",
     "pair_seed",
+    "pair_test",
     "matrix_to_json",
     "pairs_to_csv",
 ]
@@ -42,25 +44,42 @@ class RosterMatrix:
     master_seed: int
 
 
-def pair_seed(master_seed: int, i: int, j: int) -> int:
-    """Deterministic 64-bit seed for the unordered pair (i, j).
+def pair_seed(master_seed: int, a, b) -> int:
+    """Deterministic 64-bit seed for the unordered pair of player ids (a, b).
 
-    Symmetric in i and j and independent of roster size, so adding players
-    never changes the seeds (and hence the results) of existing pairs. The
-    triple is hashed with numpy's SeedSequence, which absorbs each word
-    positionally: distinct master seeds cannot collide with shifted pair
-    indices.
+    Symmetric in a and b and a function of the two ids alone, so neither the
+    argument order nor the other players in a roster change a pair's seed.
+    The master seed and an 8-byte BLAKE2b digest of each id's ``str``, in
+    sorted order, are absorbed as fixed-width words by numpy's SeedSequence:
+    distinct master seeds cannot collide with shifted digests. Integer ids
+    therefore seed like their decimal strings.
     """
-    lo, hi = (i, j) if i <= j else (j, i)
-    ss = np.random.SeedSequence([master_seed & _MASK64, lo, hi])
-    return int(ss.generate_state(1, np.uint64)[0])
+    digests = [hashlib.blake2b(str(pid).encode("utf-8"), digest_size=8).digest()
+               for pid in (a, b)]
+    lo, hi = sorted(int.from_bytes(d, "little") for d in digests)
+    words = np.array([master_seed & _MASK64, lo, hi], dtype=np.uint64)
+    return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+
+
+def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
+              master_seed: int = 0) -> TestResult:
+    """Permutation test of one pair of players, keyed by their identities.
+
+    The heatmap whose ``player_id`` sorts first is held fixed and the other
+    one is permuted, with the stream seeded by :func:`pair_seed`. The result
+    is therefore the same for (a, b) and (b, a), and in any roster that
+    holds the pair.
+    """
+    x, y = (a, b) if a.player_id <= b.player_id else (b, a)
+    seed = pair_seed(master_seed, x.player_id, y.player_id)
+    return permutation_test(x.cells, y.cells, w, n_perm=n_perm, seed=seed)
 
 
 _POOL: dict = {}
 
 
-def _pool_init(cells, w, n_perm, master_seed):
-    _POOL["cells"] = cells
+def _pool_init(heatmaps, w, n_perm, master_seed):
+    _POOL["heatmaps"] = heatmaps
     _POOL["w"] = w
     _POOL["n_perm"] = n_perm
     _POOL["master_seed"] = master_seed
@@ -68,13 +87,9 @@ def _pool_init(cells, w, n_perm, master_seed):
 
 def _pool_pair(pair: tuple[int, int]) -> tuple[int, int, TestResult]:
     i, j = pair
-    result = permutation_test(
-        _POOL["cells"][i],
-        _POOL["cells"][j],
-        _POOL["w"],
-        n_perm=_POOL["n_perm"],
-        seed=pair_seed(_POOL["master_seed"], i, j),
-    )
+    heatmaps = _POOL["heatmaps"]
+    result = pair_test(heatmaps[i], heatmaps[j], _POOL["w"],
+                       n_perm=_POOL["n_perm"], master_seed=_POOL["master_seed"])
     return i, j, result
 
 
@@ -87,9 +102,12 @@ def compute_matrix(
 ) -> RosterMatrix:
     """Run the permutation test for every unordered pair, diagonal included.
 
-    Each pair's test is seeded by :func:`pair_seed`, so the matrix is a pure
-    function of (heatmaps, w, n_perm, master_seed): results are bitwise
-    identical for any worker count and any pair scheduling order.
+    Each entry is :func:`pair_test` of the two players, so it depends on
+    their two heatmaps, ``w``, ``n_perm`` and ``master_seed`` only, and
+    player ids are the identity that keys it: reordering the heatmaps only
+    permutes the matrix, adding a player leaves every existing entry
+    unchanged, and results are bitwise identical for any worker count and
+    any pair scheduling order.
 
     Raises
     ------
@@ -98,13 +116,18 @@ def compute_matrix(
     ZeroVariance
         Naming the first player whose heatmap is constant.
     ValueError
-        If fewer than 2 heatmaps, or any heatmap is not normalized.
+        If fewer than 2 heatmaps, two heatmaps share a player id, or any
+        heatmap is not normalized.
     """
     k = len(heatmaps)
     if k < 2:
         raise ValueError(f"need at least 2 heatmaps, got {k}")
     ref = heatmaps[0].grid_ref
+    seen = set()
     for h in heatmaps:
+        if h.player_id in seen:
+            raise ValueError(f"duplicate player id {h.player_id!r}")
+        seen.add(h.player_id)
         if h.grid_ref != ref:
             raise GridMismatch(
                 f"player {h.player_id!r} uses grid {h.grid_ref}, others use {ref}"
@@ -117,19 +140,18 @@ def compute_matrix(
     if w.n != rows * cols:
         raise GridMismatch(f"weights have {w.n} cells, heatmaps have {rows * cols}")
 
-    cells = [h.cells for h in heatmaps]
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
 
     pmat = np.empty((k, k))
     lmat = np.empty((k, k))
     if workers <= 1:
-        _pool_init(cells, w, n_perm, master_seed)
+        _pool_init(heatmaps, w, n_perm, master_seed)
         _fill(pmat, lmat, map(_pool_pair, pairs))
     else:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pool_init,
-            initargs=(cells, w, n_perm, master_seed),
+            initargs=(heatmaps, w, n_perm, master_seed),
         ) as pool:
             chunk = max(1, len(pairs) // (workers * 4))
             _fill(pmat, lmat, pool.map(_pool_pair, pairs, chunksize=chunk))

@@ -229,6 +229,57 @@ class TestCompare:
         assert "not found" in capsys.readouterr().err
 
 
+def _compare_json(capsys, a, b, paths):
+    assert main(["compare", a, b, "--json", *paths]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _pairs_rows(out):
+    """pairs.csv data rows keyed by the unordered pair of ids."""
+    lines = (out / "pairs.csv").read_text(encoding="utf-8").splitlines()[1:]
+    return {frozenset(line.split(",")[:2]): line for line in lines}
+
+
+class TestPairIdentity:
+    """A pair's test depends on the two players only, never on the others."""
+
+    def test_cluster_in_shuffled_order_matches_compare(self, five_heatmap_dir,
+                                                       tmp_path, capsys):
+        paths = _heatmap_args(five_heatmap_dir)
+        shuffled = [paths[i] for i in (4, 2, 0, 3, 1)]
+        out = tmp_path / "out"
+        assert main(["cluster", *shuffled, "--out", str(out)]) == 0
+        capsys.readouterr()
+        lines = (out / "pairs.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(lines) == 15
+        for line in lines:
+            a, b, lee_l, p_value = line.split(",")
+            doc = _compare_json(capsys, a, b, paths)
+            assert (float(lee_l), float(p_value)) == (doc["lee_l"], doc["p_value"]), line
+
+    def test_inserting_a_player_keeps_existing_rows(self, five_heatmap_dir, tmp_path,
+                                                    capsys):
+        paths = _heatmap_args(five_heatmap_dir)
+        without = [paths[i] for i in (0, 1, 3, 4)]
+        inserted = [paths[i] for i in (0, 1, 2, 3, 4)]  # mid_c lands in the middle
+        before, after = tmp_path / "before", tmp_path / "after"
+        assert main(["cluster", *without, "--out", str(before)]) == 0
+        assert main(["cluster", *inserted, "--out", str(after)]) == 0
+        old, new = _pairs_rows(before), _pairs_rows(after)
+        assert len(old) == 10 and len(new) == 15
+        for key, line in old.items():
+            assert new[key] == line, key
+
+    def test_compare_ignores_the_other_heatmaps(self, five_heatmap_dir, capsys):
+        paths = _heatmap_args(five_heatmap_dir)
+        by_id = dict(zip((pid for pid, _, _, _ in FIVE_PLAYER_ROLES), paths))
+        for a, b in (("fwd", "mid_b"), ("gk", "mid_c"), ("mid_a", "fwd")):
+            alone = _compare_json(capsys, a, b, [by_id[a], by_id[b]])
+            among_all = _compare_json(capsys, a, b, paths)
+            for key in ("seed", "lee_l", "p_value"):
+                assert alone[key] == among_all[key], (a, b, key)
+
+
 @pytest.fixture(scope="module")
 def nine_out(tmp_path_factory):
     csv_dir = tmp_path_factory.mktemp("nine_csv")
@@ -426,6 +477,18 @@ class TestConfig:
         assert main(["rasterize", "x.csv", "--n-perm", "0",
                      "--out", str(tmp_path / "o")]) == 1
         assert "n-perm" in capsys.readouterr().err
+        # non-finite bandwidth and cut, as a flag and in a config file
+        cfg = tmp_path / "run.cfg"
+        for key, value in (("bandwidth", "nan"), ("bandwidth", "inf"),
+                           ("cut", "nan"), ("cut", "inf")):
+            cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+            for opts in ([f"--{key}", value], ["--config", str(cfg)]):
+                assert main(["cluster", "x.json", *opts,
+                             "--out", str(tmp_path / "o")]) == 1
+                err = capsys.readouterr().err.splitlines()
+                assert err == [f"error: {key} must be finite and "
+                               f"{'> 0' if key == 'bandwidth' else '>= 0'}, got {value}"]
+        assert not (tmp_path / "o").exists()
 
     def test_installed_entry_point(self, tmp_path):
         # Run the declared console-script target the way pip's generated

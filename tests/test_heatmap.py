@@ -253,6 +253,8 @@ class TestRasterize:
             ps.rasterize(pts, g, 0.0)
         with pytest.raises(NonpositiveBandwidth):
             ps.rasterize(pts, g, -2.0)
+        with pytest.raises(NonpositiveBandwidth):
+            ps.rasterize(pts, g, float("nan"))
 
 
 class TestNormalize:

@@ -164,6 +164,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="normalized"):
             ps.compute_matrix([raw, b], weights, n_perm=9)
 
+    def test_duplicate_player_id_rejected_naming_it(self, grid, weights):
+        rng = np.random.default_rng(6)
+        a = blob_heatmap(rng, "twin", 40.0, 40.0, 9.0, grid)
+        b = blob_heatmap(rng, "other", 60.0, 60.0, 9.0, grid)
+        c = blob_heatmap(rng, "twin", 70.0, 30.0, 9.0, grid)
+        with pytest.raises(ValueError, match="duplicate player id 'twin'"):
+            ps.compute_matrix([a, b, c], weights, n_perm=9)
+
     def test_single_heatmap_rejected(self, grid, weights):
         rng = np.random.default_rng(6)
         a = blob_heatmap(rng, "a", 40.0, 40.0, 9.0, grid)
@@ -173,21 +181,45 @@ class TestValidation:
 
 class TestPairSeed:
     def test_symmetric_in_the_pair(self):
-        assert ps.pair_seed(0, 3, 7) == ps.pair_seed(0, 7, 3)
-        assert ps.pair_seed(99, 0, 0) == ps.pair_seed(99, 0, 0)
+        assert ps.pair_seed(0, "mid_a", "gk") == ps.pair_seed(0, "gk", "mid_a")
+        assert ps.pair_seed(7, 3, 7) == ps.pair_seed(7, 7, 3)
 
     def test_distinct_across_pairs_and_masters(self):
+        ids = [f"r{i // 10}_{i % 10}" for i in range(40)]
         seeds = set()
         for master in (0, 1):
             for i in range(40):
                 for j in range(i, 40):
-                    seeds.add(ps.pair_seed(master, i, j))
+                    seeds.add(ps.pair_seed(master, ids[i], ids[j]))
         assert len(seeds) == 2 * 820
 
     def test_in_64_bit_range(self):
-        for i, j in ((0, 0), (1, 2), (1000, 4)):
-            s = ps.pair_seed(0, i, j)
+        for a, b in (("a", "a"), ("mid_a", "gk"), ("", "z" * 200)):
+            s = ps.pair_seed(0, a, b)
             assert 0 <= s < 1 << 64
+
+    def test_integer_ids_still_work(self):
+        # perfbench/tracer.py seeds its single-test pass with pair_seed(0, 0, 1)
+        s = ps.pair_seed(0, 0, 1)
+        assert type(s) is int and 0 <= s < 1 << 64
+        assert s == ps.pair_seed(0, "0", "1")
+
+
+class TestPairTest:
+    def test_permutes_the_player_whose_id_sorts_last(self, five, weights):
+        gk, mid_b = five[GK_IDX], five[1]
+        res = ps.pair_test(mid_b, gk, weights, n_perm=N_PERM, master_seed=MASTER_SEED)
+        want = ps.permutation_test(gk.cells, mid_b.cells, weights, n_perm=N_PERM,
+                                   seed=ps.pair_seed(MASTER_SEED, "gk", "mid_b"))
+        assert res == want
+
+    def test_shuffled_roster_permutes_the_matrix(self, five, weights, five_matrix):
+        order = [4, 2, 0, 3, 1]
+        m = ps.compute_matrix([five[i] for i in order], weights, n_perm=N_PERM,
+                              master_seed=MASTER_SEED)
+        assert np.array_equal(m.pseudo_distance,
+                              five_matrix.pseudo_distance[np.ix_(order, order)])
+        assert np.array_equal(m.statistic, five_matrix.statistic[np.ix_(order, order)])
 
 
 class TestSerialization:
