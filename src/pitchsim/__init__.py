@@ -41,7 +41,6 @@ from .grid import (
 )
 from .heatmap import (
     MIN_BANDWIDTH,
-    ActivityPoint,
     DropCounts,
     Heatmap,
     heatmap_from_json,
@@ -70,7 +69,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivityPoint",
     "AsymmetricInput",
     "DEFAULT_EXTENT",
     "Dendrogram",

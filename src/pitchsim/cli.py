@@ -17,7 +17,7 @@ import numpy as np
 from . import cluster as hc
 from . import roster as rm
 from .errors import PitchsimError, UnknownPlayer
-from .grid import DEFAULT_EXTENT, PitchGrid, adjacency, build_grid
+from .grid import DEFAULT_EXTENT, SCHEMES, PitchGrid, adjacency, build_grid
 from .heatmap import (
     heatmap_from_json,
     heatmap_to_json,
@@ -46,8 +46,8 @@ class RunConfig:
 
     def validate(self) -> None:
         PitchGrid(self.rows, self.cols)  # the grid-size rule
-        if self.scheme not in ("rook", "queen"):
-            raise ValueError(f"scheme must be rook or queen, got {self.scheme!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be {' or '.join(SCHEMES)}, got {self.scheme!r}")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
         if self.n_perm < 1:
@@ -61,8 +61,7 @@ class RunConfig:
 def read_config_file(path) -> dict:
     """Parse a key=value config file; '#' starts a comment."""
     values = {}
-    types = {"rows": int, "cols": int, "scheme": str, "bandwidth": float,
-             "n_perm": int, "seed": int, "cut": float, "workers": int, "out": Path}
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -99,7 +98,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file (flags take precedence)")
     parser.add_argument("--rows", type=int, help="grid rows across the field width")
     parser.add_argument("--cols", type=int, help="grid columns along the field length")
-    parser.add_argument("--scheme", choices=("rook", "queen"), help="contiguity scheme")
+    parser.add_argument("--scheme", choices=SCHEMES, help="contiguity scheme")
     parser.add_argument("--bandwidth", type=float, help="kernel bandwidth in field units")
     parser.add_argument("--n-perm", type=int, dest="n_perm", help="permutations per test")
     parser.add_argument("--seed", type=int, help="master seed")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -206,7 +208,7 @@ def merges_to_json(dend: Dendrogram, ids: list[str]) -> dict:
 
 
 def clusters_to_csv(ids: list[str], labels: list[int]) -> str:
-    lines = ["player_id,cluster"]
-    for pid, label in zip(ids, labels):
-        lines.append(f"{pid},{label}")
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([("player_id", "cluster"), *zip(ids, labels)])
+    return buf.getvalue()

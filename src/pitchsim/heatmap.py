@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .errors import (
 from .grid import DEFAULT_EXTENT, PitchGrid, build_grid
 
 __all__ = [
-    "ActivityPoint",
     "Heatmap",
     "DropCounts",
     "parse_activity_groups",
@@ -42,14 +40,6 @@ _POINT_CHUNK = 8192
 
 # required fields of a heatmap JSON document and their JSON types
 _HEATMAP_FIELDS = {"player_id": str, "rows": int, "cols": int, "cells": list, "normalized": bool}
-
-
-class ActivityPoint(NamedTuple):
-    """One centroid record: field position and nonnegative activity weight."""
-
-    x: float
-    y: float
-    value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +84,9 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
 
     Returns
     -------
-    groups : dict[str, list[ActivityPoint]]
-        Players in first-seen order.
+    groups : dict[str, numpy.ndarray]
+        Each player's accepted rows as a C-contiguous ``(m, 3)`` float64
+        array of ``(x, y, value)``, players in first-seen order.
     drops : DropCounts
 
     Raises
@@ -117,11 +108,9 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
             raise MalformedRecord(
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
-        groups: dict[str, list[ActivityPoint]] = {}
-        appends = {}  # player id -> bound append of its list in groups
+        groups: dict[str, array] = {}  # player id -> flat x, y, value buffer
+        extends = {}  # player id -> bound extend of its buffer in groups
         isfinite = math.isfinite
-        # tuple.__new__ builds the namedtuple without its Python-level __new__
-        make = tuple.__new__
         out_of_extent = 0
         negative = 0
         for lineno, row in enumerate(reader, start=2):
@@ -144,13 +133,15 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
                 out_of_extent += 1
                 continue
             pid = row[0].strip()
-            append = appends.get(pid)
-            if append is None:
-                append = appends[pid] = groups.setdefault(pid, []).append
-            append(make(ActivityPoint, (x, y, value)))
+            extend = extends.get(pid)
+            if extend is None:
+                extend = extends[pid] = groups.setdefault(pid, array("d")).extend
+            extend((x, y, value))
         if not groups:
             raise EmptyInput("activity CSV has no valid rows")
-        return groups, DropCounts(out_of_extent=out_of_extent, negative_value=negative)
+        # views of the buffers, not copies
+        arrays = {pid: np.frombuffer(buf).reshape(-1, 3) for pid, buf in groups.items()}
+        return arrays, DropCounts(out_of_extent=out_of_extent, negative_value=negative)
     finally:
         if owned:
             stream.close()
@@ -167,11 +158,12 @@ def _axis_factor(p: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
 def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") -> Heatmap:
     """Smooth weighted centroids onto the grid with an isotropic Gaussian kernel.
 
-    Each cell receives ``sum_p value_p * K_h(center - p)`` where ``K_h`` is a
-    Gaussian density with standard deviation ``max(bandwidth, MIN_BANDWIDTH)``
-    in field units, evaluated at the cell center. No edge correction is
-    applied, so densities near the touchlines are attenuated equally for all
-    players.
+    ``points`` is an ``(m, 3)`` array-like of ``(x, y, value)`` rows, such as
+    a player's array from :func:`parse_activity_groups`. Each cell receives
+    ``sum_p value_p * K_h(center - p)`` where ``K_h`` is a Gaussian density
+    with standard deviation ``max(bandwidth, MIN_BANDWIDTH)`` in field units,
+    evaluated at the cell center. No edge correction is applied, so
+    densities near the touchlines are attenuated equally for all players.
 
     The kernel factors by axis, ``exp(-(dx² + dy²)/2h²) = exp(-dx²/2h²) ·
     exp(-dy²/2h²)``, so the sum is a matrix product
@@ -186,21 +178,23 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
     ------
     EmptyInput
         If ``points`` is empty.
+    ValueError
+        If ``points`` is not of shape ``(m, 3)``.
     NonpositiveBandwidth
         If ``bandwidth`` is not > 0 (NaN included).
     """
-    points = list(points)
-    if not points:
+    points = np.asarray(points, dtype=np.float64)
+    if points.size == 0:
         raise EmptyInput("rasterize needs at least one activity point")
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (m, 3), got {points.shape}")
     if not bandwidth > 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     h = max(float(bandwidth), MIN_BANDWIDTH)
 
     m = len(points)
-    flat = np.fromiter(itertools.chain.from_iterable(points), np.float64, count=3 * m)
-    # one contiguous row per field: lexsort's last key is its primary one
-    fields = flat.reshape(m, 3).T.copy()
-    px, py, value = fields[:, np.lexsort(fields[::-1])]
+    # canonical (x, y, value) order: lexsort's last key is its primary one
+    px, py, value = points[np.lexsort(points.T[::-1])].T
 
     # flat-index order: row 0 holds every column's x, column 0 every row's y
     centers = grid.cell_centers()

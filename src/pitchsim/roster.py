@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -107,7 +108,8 @@ def compute_matrix(
     player ids are the identity that keys it: reordering the heatmaps only
     permutes the matrix, adding a player leaves every existing entry
     unchanged, and results are bitwise identical for any worker count and
-    any pair scheduling order.
+    any pair scheduling order. The pool has ``min(workers, pairs, CPUs)``
+    processes; with one, the pairs run in this process.
 
     Raises
     ------
@@ -141,6 +143,8 @@ def compute_matrix(
         raise GridMismatch(f"weights have {w.n} cells, heatmaps have {rows * cols}")
 
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    # the pool starts all its processes at once
+    workers = min(workers, len(pairs), os.cpu_count() or 1)
 
     pmat = np.empty((k, k))
     lmat = np.empty((k, k))

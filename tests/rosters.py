@@ -26,16 +26,16 @@ def default_weights(grid=None) -> ps.WeightsMatrix:
     return ps.adjacency(grid or default_grid(), "queen")
 
 
-def blob_points(rng, cx, cy, spread, n=150):
-    """Clipped Gaussian cloud of weighted activity points."""
-    return [
-        ps.ActivityPoint(
-            float(np.clip(rng.normal(cx, spread), 0.0, 99.999)),
-            float(np.clip(rng.normal(cy, spread), 0.0, 99.999)),
-            float(rng.uniform(0.5, 2.0)),
+def blob_points(rng, cx, cy, spread, n=150) -> np.ndarray:
+    """Clipped Gaussian cloud of weighted activity points, as (n, 3) (x, y, value) rows."""
+    return np.array([
+        (
+            np.clip(rng.normal(cx, spread), 0.0, 99.999),
+            np.clip(rng.normal(cy, spread), 0.0, 99.999),
+            rng.uniform(0.5, 2.0),
         )
         for _ in range(n)
-    ]
+    ])
 
 
 def blob_heatmap(rng, player_id, cx, cy, spread, grid, n=150) -> ps.Heatmap:

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line interface."""
 
+import csv
+import io
 import json
 import os
 import shutil
@@ -18,14 +20,17 @@ from rosters import (
     FIVE_PLAYER_SEED,
     NINE_PLAYER_SEED,
     NINE_PLAYER_ZONES,
+    blob_heatmap,
     blob_points,
 )
 
 
 def _write_csv(path, rows):
+    """``rows`` holds (player id, (x, y, value)) pairs."""
     lines = ["player_id,x,y,value"]
     for pid, p in rows:
-        lines.append(f"{pid},{p.x!r},{p.y!r},{p.value!r}")
+        x, y, value = map(float, p)
+        lines.append(f"{pid},{x!r},{y!r},{value!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -128,8 +133,8 @@ class TestRasterize:
     def test_colliding_file_names_fail(self, tmp_path, capsys, other):
         # "a b" and every other id here slug to heatmap_a_b.json
         path = tmp_path / "both.csv"
-        _write_csv(path, [("a b", ps.ActivityPoint(30.0, 40.0, 1.0)),
-                          (other, ps.ActivityPoint(70.0, 60.0, 1.0))])
+        _write_csv(path, [("a b", (30.0, 40.0, 1.0)),
+                          (other, (70.0, 60.0, 1.0))])
         out = tmp_path / "out"
         assert main(["rasterize", str(path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -142,8 +147,8 @@ class TestRasterize:
 
     def test_colliding_ids_across_files_name_both_files(self, tmp_path, capsys):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        _write_csv(first, [("a b", ps.ActivityPoint(30.0, 40.0, 1.0))])
-        _write_csv(second, [("a/b", ps.ActivityPoint(70.0, 60.0, 1.0))])
+        _write_csv(first, [("a b", (30.0, 40.0, 1.0))])
+        _write_csv(second, [("a/b", (70.0, 60.0, 1.0))])
         out = tmp_path / "out"
         assert main(["rasterize", str(first), str(second), "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -154,8 +159,8 @@ class TestRasterize:
 
     def test_same_id_in_two_files_fails(self, tmp_path, capsys):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        _write_csv(first, [("p1", ps.ActivityPoint(30.0, 40.0, 1.0))])
-        _write_csv(second, [("p1", ps.ActivityPoint(70.0, 60.0, 1.0))])
+        _write_csv(first, [("p1", (30.0, 40.0, 1.0))])
+        _write_csv(second, [("p1", (70.0, 60.0, 1.0))])
         out = tmp_path / "out"
         assert main(["rasterize", str(first), str(second), "--out", str(out)]) == 1
         lines = capsys.readouterr().err.splitlines()
@@ -169,8 +174,8 @@ class TestRasterize:
         out.mkdir()
         (out / "heatmap_p1.json").write_text("old", encoding="utf-8")
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-        _write_csv(first, [("p1", ps.ActivityPoint(30.0, 40.0, 1.0))])
-        _write_csv(second, [("p1", ps.ActivityPoint(70.0, 60.0, 1.0))])
+        _write_csv(first, [("p1", (30.0, 40.0, 1.0))])
+        _write_csv(second, [("p1", (70.0, 60.0, 1.0))])
         assert main(["rasterize", str(first), str(second), "--out", str(out)]) == 1
         assert [p.name for p in out.iterdir()] == ["heatmap_p1.json"]
         assert (out / "heatmap_p1.json").read_text(encoding="utf-8") == "old"
@@ -356,6 +361,24 @@ class TestCluster:
         assert "resolution floor" in captured.err
         labels = (out / "clusters.csv").read_text().strip().splitlines()[1:]
         assert labels == ["dup_a,1", "dup_b,1"]
+
+    def test_clusters_csv_quotes_player_ids(self, tmp_path):
+        ids = ["Smith, J", 'say "hi"', "two\nlines", "plain"]
+        grid = ps.build_grid(14, 20)
+        rng = np.random.default_rng(4)
+        paths = []
+        for i, (pid, cx) in enumerate(zip(ids, (20.0, 40.0, 60.0, 80.0))):
+            h = blob_heatmap(rng, pid, cx, 50.0, 9.0, grid)
+            paths.append(tmp_path / f"h{i}.json")
+            paths[-1].write_text(json.dumps(ps.heatmap_to_json(h)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["cluster", *map(str, paths), "--n-perm", "99", "--out", str(out)]) == 0
+        text = (out / "clusters.csv").read_bytes().decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert rows[0] == ["player_id", "cluster"]
+        assert [r[0] for r in rows[1:]] == ids
+        assert all(len(r) == 2 and int(r[1]) >= 1 for r in rows[1:])
+        assert text.endswith("\nplain," + rows[-1][1] + "\n")
 
     def test_grid_mismatch_fails(self, tmp_path, capsys):
         paths = _five_player_csvs(tmp_path)

@@ -32,7 +32,8 @@ def _csv(text: str) -> io.StringIO:
 class TestParsing:
     def test_single_center_row(self):
         groups, drops = ps.parse_activity_groups(_csv("player_id,x,y,value\np1,50,50,3.0\n"))
-        assert groups == {"p1": [ps.ActivityPoint(50.0, 50.0, 3.0)]}
+        assert list(groups) == ["p1"]
+        assert np.array_equal(groups["p1"], [[50.0, 50.0, 3.0]])
         assert drops.total == 0
 
     def test_negative_value_dropped_and_counted(self):
@@ -84,37 +85,65 @@ class TestParsing:
         )
         assert len(groups["p1"]) == 2 and drops.total == 0
 
+    def test_groups_are_contiguous_float64_rows_in_first_seen_order(self):
+        groups, _ = ps.parse_activity_groups(
+            _csv("player_id,x,y,value\nb,1,2,3\na,4.5,5,6\nb,7,8,0\nc,9,10,1e-3\n")
+        )
+        assert list(groups) == ["b", "a", "c"]
+        expected = {"b": [[1, 2, 3], [7, 8, 0]], "a": [[4.5, 5, 6]], "c": [[9, 10, 1e-3]]}
+        for pid, rows in groups.items():
+            assert isinstance(rows, np.ndarray)
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            assert rows.shape == (len(expected[pid]), 3)
+            assert np.array_equal(rows, expected[pid])
+
+    def test_retained_memory_per_row_bounded(self):
+        # each accepted row is kept as three float64s, not as Python objects
+        n_rows, n_players = 100_000, 22
+        rng = np.random.default_rng(5)
+        lines = ["player_id,x,y,value"]
+        lines += [f"p{i % n_players},{x!r},{y!r},{v!r}"
+                  for i, (x, y, v) in enumerate(rng.uniform(0, 100, (n_rows, 3)).tolist())]
+        source = _csv("\n".join(lines) + "\n")
+        del lines
+        tracemalloc.start()
+        try:
+            groups, drops = ps.parse_activity_groups(source)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert drops.total == 0 and sum(len(rows) for rows in groups.values()) == n_rows
+        assert retained / n_rows <= 32
+
 
 class TestRasterize:
     def test_tiny_bandwidth_peaks_in_containing_cell(self):
         g = ps.build_grid(4, 5)
         # dead center of cell (2, 3)
         cx, cy = g.cell_centers()[g.cell_index(2, 3)]
-        h = ps.rasterize([ps.ActivityPoint(cx, cy, 1.0)], g, 1e-12)
+        h = ps.rasterize([(cx, cy, 1.0)], g, 1e-12)
         assert int(np.argmax(h.cells)) == g.cell_index(2, 3)
 
     def test_off_center_small_bandwidth_peaks_in_containing_cell(self):
         # small but not clamped: the containing cell must stay above underflow
         g = ps.build_grid(4, 5)
-        h = ps.rasterize([ps.ActivityPoint(41.0, 30.0, 2.0)], g, 1.0)
+        h = ps.rasterize([(41.0, 30.0, 2.0)], g, 1.0)
         assert int(np.argmax(h.cells)) == g.cell_of(41.0, 30.0)
 
     def test_linearity_in_values(self):
         g = ps.build_grid(6, 6)
         rng = np.random.default_rng(3)
-        pts = [ps.ActivityPoint(*map(float, rng.uniform(5, 95, 2)), float(v))
-               for v in rng.uniform(0.1, 3.0, 25)]
-        scaled = [ps.ActivityPoint(p.x, p.y, 10.0 * p.value) for p in pts]
+        pts = np.array([(*rng.uniform(5, 95, 2), v) for v in rng.uniform(0.1, 3.0, 25)])
+        scaled = pts * [1.0, 1.0, 10.0]
         a = ps.rasterize(pts, g, 7.0).cells
         b = ps.rasterize(scaled, g, 7.0).cells
         assert np.allclose(b, 10.0 * a, rtol=1e-12, atol=0.0)
 
     def test_matches_direct_kernel_oracle(self):
         g = ps.build_grid(4, 5)
-        pts = [ps.ActivityPoint(12.5, 30.0, 2.0), ps.ActivityPoint(77.0, 60.0, 1.5),
-               ps.ActivityPoint(50.0, 50.0, 0.7)]
+        pts = [(12.5, 30.0, 2.0), (77.0, 60.0, 1.5), (50.0, 50.0, 0.7)]
         h = ps.rasterize(pts, g, 8.0)
-        direct = kernel_sum_direct([(p.x, p.y, p.value) for p in pts], g.cell_centers(), 8.0)
+        direct = kernel_sum_direct(pts, g.cell_centers(), 8.0)
         assert np.allclose(h.cells, direct, rtol=1e-12, atol=0.0)
 
     def test_matches_direct_kernel_oracle_on_non_square_grid(self):
@@ -125,9 +154,9 @@ class TestRasterize:
         rng = np.random.default_rng(21)
         xy = rng.uniform((0.0, 0.0), (105.0, 68.0), size=(300, 2))
         values = rng.uniform(0.1, 2.0, 300)
-        pts = [ps.ActivityPoint(float(x), float(y), float(v)) for (x, y), v in zip(xy, values)]
+        pts = np.column_stack([xy, values])
         h = ps.rasterize(pts, g, 6.0)
-        direct = kernel_sum_direct([(p.x, p.y, p.value) for p in pts], g.cell_centers(), 6.0)
+        direct = kernel_sum_direct(pts, g.cell_centers(), 6.0)
         assert np.allclose(h.cells, direct, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -135,12 +164,11 @@ class TestRasterize:
         monkeypatch.setattr(heatmap, "_POINT_CHUNK", chunk)
         g = ps.build_grid(7, 11, extent=(0.0, 0.0, 105.0, 68.0))
         rng = np.random.default_rng(23)
-        pts = [ps.ActivityPoint(float(x), float(y), float(v))
-               for x, y, v in rng.uniform((0.0, 0.0, 0.1), (105.0, 68.0, 2.0), size=(150, 3))]
+        pts = rng.uniform((0.0, 0.0, 0.1), (105.0, 68.0, 2.0), size=(150, 3))
         cells = ps.rasterize(pts, g, 6.0).cells
-        direct = kernel_sum_direct([(p.x, p.y, p.value) for p in pts], g.cell_centers(), 6.0)
+        direct = kernel_sum_direct(pts, g.cell_centers(), 6.0)
         assert np.allclose(cells, direct, rtol=1e-12, atol=0.0)
-        shuffled = [pts[i] for i in rng.permutation(len(pts))]
+        shuffled = pts[rng.permutation(len(pts))]
         assert np.array_equal(ps.rasterize(shuffled, g, 6.0).cells, cells)
 
     def test_memory_bounded_in_points(self):
@@ -148,7 +176,7 @@ class TestRasterize:
         # memory grows with the points, not with points * (rows + cols)
         g = ps.build_grid(40, 60)
         rng = np.random.default_rng(9)
-        pts = [ps.ActivityPoint(*map(float, r)) for r in rng.uniform(0, 100, (50_000, 3))]
+        pts = rng.uniform(0, 100, (50_000, 3))
         tracemalloc.start()
         try:
             ps.rasterize(pts, g, 5.0)
@@ -161,7 +189,7 @@ class TestRasterize:
         # one equal-value point at every cell center; cells far enough from
         # the boundary all see the same truncated kernel sum
         g = ps.build_grid(14, 20)
-        pts = [ps.ActivityPoint(float(x), float(y), 1.0) for x, y in g.cell_centers()]
+        pts = np.column_stack([g.cell_centers(), np.ones(g.n)])
         h = ps.rasterize(pts, g, 4.0)
         cells = h.cells.reshape(14, 20)
         interior = cells[5:-5, 5:-5]
@@ -174,12 +202,11 @@ class TestRasterize:
     def test_input_order_invariance_bitwise(self):
         g = ps.build_grid(5, 5)
         rng = np.random.default_rng(8)
-        pts = [ps.ActivityPoint(*map(float, rng.uniform(0, 100, 2)), float(rng.uniform(0.1, 2)))
-               for _ in range(40)]
+        pts = np.array([(*rng.uniform(0, 100, 2), rng.uniform(0.1, 2)) for _ in range(40)])
         base = ps.rasterize(pts, g, 6.0).cells
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(pts))
-            shuffled = [pts[i] for i in order]
+            shuffled = pts[order]
             assert np.array_equal(ps.rasterize(shuffled, g, 6.0).cells, base)
 
     def test_input_order_invariance_bitwise_with_tied_sort_keys(self):
@@ -190,8 +217,7 @@ class TestRasterize:
         pts = []
         for x in rng.uniform(0, 100, 6):
             for y in rng.uniform(0, 100, 4):
-                pts += [ps.ActivityPoint(float(x), float(y), float(v))
-                        for v in rng.uniform(0.1, 2.0, 3)]
+                pts += [(x, y, v) for v in rng.uniform(0.1, 2.0, 3)]
         pts += pts[:5]  # exact duplicates too
         base = ps.rasterize(pts, g, 6.0).cells
         for seed in range(5):
@@ -203,7 +229,7 @@ class TestRasterize:
         script = (
             "import sys, numpy as np, pitchsim as ps\n"
             "rng = np.random.default_rng(17)\n"
-            "pts = [ps.ActivityPoint(*map(float, r)) for r in rng.uniform(0, 100, (20000, 3))]\n"
+            "pts = rng.uniform(0, 100, (20000, 3))\n"
             "cells = ps.rasterize(pts, ps.build_grid(14, 20), 5.0).cells\n"
             "sys.stdout.write(cells.tobytes().hex())\n"
         )
@@ -224,7 +250,7 @@ class TestRasterize:
     def test_input_order_invariance_property(self, pyrng):
         g = ps.build_grid(3, 4)
         pts = [
-            ps.ActivityPoint(pyrng.uniform(0, 100), pyrng.uniform(0, 100), pyrng.uniform(0, 2))
+            (pyrng.uniform(0, 100), pyrng.uniform(0, 100), pyrng.uniform(0, 2))
             for _ in range(12)
         ]
         base = ps.rasterize(pts, g, 5.0).cells
@@ -234,21 +260,31 @@ class TestRasterize:
 
     def test_mass_positive_whenever_any_value_positive(self):
         g = ps.build_grid(3, 3)
-        h = ps.rasterize([ps.ActivityPoint(1.0, 1.0, 1e-9)], g, 2.0)
+        h = ps.rasterize([(1.0, 1.0, 1e-9)], g, 2.0)
         assert float(h.cells.sum()) > 0.0
 
     def test_cells_nonnegative_finite(self):
         g = ps.build_grid(4, 4)
-        h = ps.rasterize([ps.ActivityPoint(99.0, 1.0, 3.0)], g, 0.5)
+        h = ps.rasterize([(99.0, 1.0, 3.0)], g, 0.5)
         assert np.all(np.isfinite(h.cells)) and np.all(h.cells >= 0.0)
 
     def test_empty_points_rejected(self):
         with pytest.raises(EmptyInput):
             ps.rasterize([], ps.build_grid(2, 2), 5.0)
 
+    @pytest.mark.parametrize("points", [
+        np.full((4, 2), 50.0),
+        np.full(3, 50.0),
+        [50.0, 50.0, 1.0],
+        np.full((2, 3, 1), 50.0),
+    ], ids=["m_by_2", "1d_array", "1d_list", "3d"])
+    def test_points_not_m_by_3_rejected(self, points):
+        with pytest.raises(ValueError, match=r"\(m, 3\)"):
+            ps.rasterize(points, ps.build_grid(2, 2), 5.0)
+
     def test_nonpositive_bandwidth_rejected(self):
         g = ps.build_grid(2, 2)
-        pts = [ps.ActivityPoint(50.0, 50.0, 1.0)]
+        pts = [(50.0, 50.0, 1.0)]
         with pytest.raises(NonpositiveBandwidth):
             ps.rasterize(pts, g, 0.0)
         with pytest.raises(NonpositiveBandwidth):
@@ -268,7 +304,7 @@ class TestNormalize:
 
     def test_idempotent_exactly(self):
         g = ps.build_grid(3, 3)
-        h = ps.rasterize([ps.ActivityPoint(40.0, 40.0, 2.0)], g, 5.0)
+        h = ps.rasterize([(40.0, 40.0, 2.0)], g, 5.0)
         once = ps.normalize(h)
         twice = ps.normalize(once)
         assert twice is once
@@ -282,7 +318,7 @@ class TestNormalize:
     def test_normalized_sums_to_one(self):
         g = ps.build_grid(5, 5)
         rng = np.random.default_rng(4)
-        pts = [ps.ActivityPoint(*map(float, rng.uniform(0, 100, 2)), 1.0) for _ in range(9)]
+        pts = np.array([(*rng.uniform(0, 100, 2), 1.0) for _ in range(9)])
         out = ps.normalize(ps.rasterize(pts, g, 3.0))
         assert math.isclose(float(out.cells.sum()), 1.0, rel_tol=0, abs_tol=1e-9)
 
@@ -290,7 +326,7 @@ class TestNormalize:
 class TestHeatmapJson:
     def test_round_trip(self):
         g = ps.build_grid(3, 4)
-        h = ps.normalize(ps.rasterize([ps.ActivityPoint(30.0, 60.0, 1.0)], g, 5.0, player_id="p9"))
+        h = ps.normalize(ps.rasterize([(30.0, 60.0, 1.0)], g, 5.0, player_id="p9"))
         doc = ps.heatmap_to_json(h)
         assert doc["rows"] == 3 and doc["cols"] == 4 and doc["normalized"] is True
         back = ps.heatmap_from_json(doc)

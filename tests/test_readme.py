@@ -23,8 +23,8 @@ def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(12)
     lines = ["player_id,x,y,value"]
     for pid, cx, cy in (("alice", 40.0, 45.0), ("bob", 45.0, 55.0), ("cara", 80.0, 50.0)):
-        lines += [f"{pid},{p.x!r},{p.y!r},{p.value!r}"
-                  for p in blob_points(rng, cx, cy, 10.0, n=60)]
+        lines += [f"{pid},{x!r},{y!r},{value!r}"
+                  for x, y, value in blob_points(rng, cx, cy, 10.0, n=60).tolist()]
     (tmp_path / "matchday.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pitchsim as ps
+from pitchsim import roster
 from pitchsim.errors import GridMismatch, ZeroVariance
 
 from oracles import lee_formula
@@ -93,6 +94,47 @@ class TestFivePlayerMatrix:
         assert np.array_equal(par.statistic, five_matrix.statistic)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("players, workers, cpus, pool_size", [
+        (2, 8, 64, 3),         # 3 pairs: no more processes than pairs
+        (2, 5000, 64, 3),
+        (5, 5000, 4, 4),       # no more processes than CPUs
+        (5, 3, 64, 3),
+        (5, 2, 1, None),       # one process: the serial path, no pool
+        (5, 8, None, None),    # unknown CPU count counts as one
+        (2, 1, 64, None),
+    ])
+    def test_pool_capped_at_pairs_and_cpus(self, monkeypatch, five, weights, five_matrix,
+                                           players, workers, cpus, pool_size):
+        sizes = []
+        monkeypatch.setattr(roster, "ProcessPoolExecutor",
+                            lambda **kw: _SerialPool(sizes, **kw))
+        monkeypatch.setattr(roster.os, "cpu_count", lambda: cpus)
+        m = ps.compute_matrix(five[:players], weights, n_perm=N_PERM,
+                              master_seed=MASTER_SEED, workers=workers)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        sub = np.ix_(range(players), range(players))
+        assert np.array_equal(m.pseudo_distance, five_matrix.pseudo_distance[sub])
+        assert np.array_equal(m.statistic, five_matrix.statistic[sub])
+
+
 class TestMatrixStructure:
     def test_identical_players_all_entries_at_floor(self, grid, weights):
         rng = np.random.default_rng(4)
@@ -159,7 +201,7 @@ class TestValidation:
 
     def test_unnormalized_heatmap_rejected(self, grid, weights):
         rng = np.random.default_rng(6)
-        raw = ps.rasterize([ps.ActivityPoint(40.0, 40.0, 1.0)], grid, 5.0, player_id="a")
+        raw = ps.rasterize([(40.0, 40.0, 1.0)], grid, 5.0, player_id="a")
         b = blob_heatmap(rng, "b", 60.0, 60.0, 9.0, grid)
         with pytest.raises(ValueError, match="normalized"):
             ps.compute_matrix([raw, b], weights, n_perm=9)
