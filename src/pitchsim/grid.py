@@ -1,11 +1,10 @@
-"""Regular pitch lattice, contiguity neighbourhoods and sparse spatial weights."""
+"""Regular pitch lattice, contiguity neighbourhoods and binary spatial weights."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InvalidDimension
 
@@ -93,60 +92,92 @@ class PitchGrid:
 class WeightsMatrix:
     """Binary contiguity weights over grid cells.
 
-    Stores an n-by-n CSR matrix of 0/1 entries, symmetric with a zero
-    diagonal.
+    An n-by-n matrix of 0/1 entries, symmetric with a zero diagonal, held as
+    a neighbour table: a C-contiguous ``(width, n)`` intp array whose column
+    ``i`` lists cell ``i``'s neighbours in ascending order, padded with
+    ``n``. ``width`` is the largest neighbour count, at most 8 on a lattice.
     """
 
     def __init__(self, matrix):
-        m = sparse.csr_array(matrix, dtype=np.float64)
-        if m.shape[0] != m.shape[1]:
+        m = np.asarray(matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"weights matrix must be square, got {m.shape}")
-        m.eliminate_zeros()
-        m.sort_indices()
-        if m.diagonal().any():
+        if np.diagonal(m).any():
             raise ValueError("weights matrix must have a zero diagonal")
-        if not np.all(m.data == 1):
+        if not np.all((m == 0.0) | (m == 1.0)):
             raise ValueError("weights must be 0 or 1")
-        if (m != m.T).nnz:
+        if not np.array_equal(m, m.T):
             raise ValueError("weights must be symmetric")
-        self._m = m
+        self._index(m.shape[0], *np.nonzero(m))
 
     @classmethod
     def from_pairs(cls, n: int, pairs):
         """Build from an iterable of (i, j) neighbour pairs.
 
-        Each pair is stored symmetrically; duplicates collapse to one 1.
+        Each pair is stored symmetrically; duplicates collapse to one 1. No
+        n-by-n array is built, so memory follows the pair count.
         """
-        rows, cols = [], []
-        for i, j in pairs:
-            if i == j:
-                raise ValueError(f"self-neighbour entry ({i}, {j})")
-            rows += (i, j)
-            cols += (j, i)
-        m = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        m.data = np.minimum(m.data, 1.0)
-        return cls(m)
+        p = np.array([(i, j) for i, j in pairs], dtype=np.intp).reshape(-1, 2)
+        self_pairs = np.flatnonzero(p[:, 0] == p[:, 1])
+        if self_pairs.size:
+            i, j = p[self_pairs[0]]
+            raise ValueError(f"self-neighbour entry ({i}, {j})")
+        if p.size and (p.min() < 0 or p.max() >= n):
+            raise ValueError(f"neighbour index outside [0, {n})")
+        # one key per directed entry, row-major: sorted keys give each row's
+        # neighbours in ascending order
+        keys = np.unique(np.concatenate((p[:, 0] * n + p[:, 1], p[:, 1] * n + p[:, 0])))
+        w = cls.__new__(cls)
+        w._index(n, *np.divmod(keys, n))
+        return w
+
+    def _index(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Neighbour table from distinct (row, col) entries in row-major order."""
+        counts = np.bincount(rows, minlength=n)
+        table = np.full((int(counts.max(initial=0)), n), n, dtype=np.intp)
+        # rank of each entry within its row
+        table[np.arange(rows.size) - (np.cumsum(counts) - counts)[rows], rows] = cols
+        table.flags.writeable = False
+        row_sums = counts.astype(np.float64)
+        row_sums.flags.writeable = False
+        self._table = table
+        self._row_sums = row_sums
 
     @property
     def n(self) -> int:
-        return self._m.shape[0]
+        return self._table.shape[1]
 
     @property
     def nnz(self) -> int:
-        return self._m.nnz
+        return int(np.count_nonzero(self._table != self.n))
 
     def row_sums(self) -> np.ndarray:
-        return np.asarray(self._m.sum(axis=1)).ravel()
+        """Neighbour count of each cell as float64; a read-only array."""
+        return self._row_sums
 
     def total(self) -> float:
-        return float(self._m.sum())
+        return float(self.nnz)
 
     def lag(self, values: np.ndarray) -> np.ndarray:
-        """Spatial lag: for each cell i, sum_j w_ij * values[j]."""
-        return self._m @ values
+        """Spatial lag: for each cell i, sum_j w_ij * values[j].
+
+        Each cell's sum starts at 0.0 and adds its neighbours' values one at
+        a time in ascending index order, then the padding's 0.0. The order is
+        fixed so that every statistic built on the lag is reproducible to the
+        bit; numpy's ``sum`` would reassociate the terms.
+        """
+        padded = np.zeros(self.n + 1)
+        padded[:-1] = values
+        out = np.zeros(self.n)
+        for row in padded[self._table]:
+            out += row
+        return out
 
     def to_dense(self) -> np.ndarray:
-        return self._m.toarray()
+        n = self.n
+        dense = np.zeros((n, n + 1))
+        dense[np.arange(n), self._table] = 1.0
+        return dense[:, :n].copy()
 
 
 def build_grid(rows: int, cols: int, extent=DEFAULT_EXTENT) -> PitchGrid:

@@ -179,7 +179,8 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
     EmptyInput
         If ``points`` is empty.
     ValueError
-        If ``points`` is not of shape ``(m, 3)``.
+        If ``points`` is not of shape ``(m, 3)``, or a row has a non-finite
+        field or a negative value.
     NonpositiveBandwidth
         If ``bandwidth`` is not > 0 (NaN included).
     """
@@ -188,6 +189,11 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
         raise EmptyInput("rasterize needs at least one activity point")
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"points must have shape (m, 3), got {points.shape}")
+    bad = ~np.isfinite(points).all(axis=1) | (points[:, 2] < 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"points row {i} has a non-finite field or a negative value: "
+                         f"{tuple(points[i].tolist())}")
     if not bandwidth > 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     h = max(float(bandwidth), MIN_BANDWIDTH)
@@ -218,13 +224,13 @@ def normalize(h: Heatmap) -> Heatmap:
     Raises
     ------
     ZeroMass
-        If the cells sum to 0.
+        If the cells do not sum to a number > 0 (NaN included).
     """
     if h.normalized:
         return h
     total = float(h.cells.sum())
-    if total <= 0.0:
-        raise ZeroMass(f"heatmap {h.player_id!r} has zero total activity")
+    if not total > 0.0:
+        raise ZeroMass(f"heatmap {h.player_id!r} has total activity {total}, not > 0")
     return replace(h, cells=h.cells / total, normalized=True)
 
 

@@ -121,6 +121,19 @@ def grid_dense_queen(rows: int, cols: int) -> np.ndarray:
     return w
 
 
+def sequential_lag(dense, v) -> np.ndarray:
+    """W @ v one cell at a time: start at 0.0, add neighbours in ascending index order."""
+    n = len(v)
+    out = np.empty(n)
+    for i in range(n):
+        acc = 0.0
+        for j in range(n):
+            if dense[i][j]:
+                acc += float(v[j])
+        out[i] = acc
+    return out
+
+
 def kernel_sum_direct(points, centers, bandwidth: float) -> np.ndarray:
     """Direct Gaussian kernel sum at given centers; plain accumulation."""
     h = float(bandwidth)

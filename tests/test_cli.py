@@ -535,3 +535,32 @@ class TestConfig:
         proc = subprocess.run([shutil.which("pitchsim"), "--help"],
                               capture_output=True, text=True, timeout=60)
         _assert_pitchsim_help(proc)
+
+
+# Runs every command in one fresh interpreter, then lists the scipy modules
+# that interpreter loaded.
+_RUN_ALL_COMMANDS = """
+import json, sys
+from pathlib import Path
+from pitchsim.cli import main
+csv_dir, out = map(Path, sys.argv[1:])
+codes = [main(["rasterize", *map(str, sorted(csv_dir.glob("*.csv"))), "--out", str(out)])]
+maps = sorted(map(str, out.glob("heatmap_*.json")))
+codes.append(main(["compare", "mid_a", "gk", *maps, "--n-perm", "9"]))
+codes.append(main(["cluster", *maps, "--n-perm", "9", "--out", str(out / "cluster")]))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_commands_import_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy.sparse alone used to
+    # double every command's start-up
+    _five_player_csvs(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL_COMMANDS, str(tmp_path),
+                           str(tmp_path / "out")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0, 0], "scipy": []}

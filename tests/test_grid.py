@@ -1,11 +1,13 @@
 """Lattice construction and contiguity weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import pitchsim as ps
 from pitchsim.errors import InvalidDimension
 
-from oracles import grid_dense_queen, grid_dense_rook
+from oracles import grid_dense_queen, grid_dense_rook, sequential_lag
 
 
 class TestBuildGrid:
@@ -102,6 +104,19 @@ class TestAdjacency:
         queen = ps.adjacency(g, "queen").to_dense()
         assert np.all(queen[rook == 1.0] == 1.0)
 
+    def test_large_grid_builds_no_dense_matrix(self):
+        # the CLI puts no cap on --rows/--cols; a dense 4800x4800 float64
+        # matrix alone would take 184 MB
+        grid = ps.build_grid(60, 80)
+        tracemalloc.start()
+        try:
+            w = ps.adjacency(grid, "queen")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.n == 4800
+        assert peak < 32 * 2**20
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             ps.adjacency(ps.build_grid(2, 2), "bishop")
@@ -132,6 +147,11 @@ class TestWeightsMatrix:
         with pytest.raises(ValueError):
             ps.WeightsMatrix.from_pairs(3, [(1, 1)])
 
+    def test_rejects_pair_outside_lattice(self):
+        for pair in ((0, 3), (-1, 2)):
+            with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+                ps.WeightsMatrix.from_pairs(3, [(0, 1), pair])
+
     def test_lag_is_neighbour_sum(self):
         w = ps.adjacency(ps.build_grid(2, 2), "rook")
         v = np.array([1.0, 2.0, 3.0, 4.0])
@@ -144,3 +164,18 @@ class TestWeightsMatrix:
         for scheme in ("rook", "queen"):
             w = ps.adjacency(ps.build_grid(3, 4), scheme)
             assert np.allclose(w.lag(v), w.to_dense().T @ v, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (7, 11), (14, 20)])
+    @pytest.mark.parametrize("scheme", ["rook", "queen"])
+    def test_lag_is_bitwise_sequential_sum(self, scheme, rows, cols):
+        # every output byte rests on this summation order
+        g = ps.build_grid(rows, cols)
+        w = ps.adjacency(g, scheme)
+        dense = w.to_dense()
+        rng = np.random.default_rng(rows * cols)
+        for _ in range(5):
+            v = rng.choice([-1.0, 1.0], g.n) * 10.0 ** rng.uniform(-8, 8, g.n)
+            assert w.lag(v).tobytes() == sequential_lag(dense, v).tobytes()
+        # a sum that starts at +0.0 never ends at -0.0
+        v = np.full(g.n, -0.0)
+        assert w.lag(v).tobytes() == sequential_lag(dense, v).tobytes()

@@ -282,6 +282,19 @@ class TestRasterize:
         with pytest.raises(ValueError, match=r"\(m, 3\)"):
             ps.rasterize(points, ps.build_grid(2, 2), 5.0)
 
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 50.0, 1.0),
+        (50.0, -math.inf, 1.0),
+        (50.0, 50.0, math.inf),
+        (50.0, 50.0, math.nan),
+        (50.0, 50.0, -1.0),
+    ], ids=["nan_x", "inf_y", "inf_value", "nan_value", "negative_value"])
+    def test_non_finite_or_negative_row_rejected(self, bad):
+        # the CSV parse never passes such rows on; library callers can
+        pts = [(10.0, 10.0, 1.0), bad, (20.0, 20.0, 1.0), bad]
+        with pytest.raises(ValueError, match=r"^points row 1 has a non-finite field or a negative"):
+            ps.rasterize(pts, ps.build_grid(3, 3), 5.0)
+
     def test_nonpositive_bandwidth_rejected(self):
         g = ps.build_grid(2, 2)
         pts = [(50.0, 50.0, 1.0)]
@@ -312,6 +325,13 @@ class TestNormalize:
     def test_zero_mass_rejected(self):
         g = ps.build_grid(2, 2)
         h = ps.Heatmap(player_id="p", grid_ref=g.key, cells=np.zeros(4))
+        with pytest.raises(ZeroMass):
+            ps.normalize(h)
+
+    def test_nan_mass_rejected(self):
+        g = ps.build_grid(2, 2)
+        h = ps.Heatmap(player_id="p", grid_ref=g.key,
+                       cells=np.array([1.0, math.nan, 0.0, 0.0]))
         with pytest.raises(ZeroMass):
             ps.normalize(h)
 
