@@ -59,11 +59,13 @@ from .roster import (
 )
 from .stats import (
     EXACT_MAX_CELLS,
+    PreparedCells,
     TestResult,
     exact_permutation_test,
     lees_l,
     morans_i,
     permutation_test,
+    prepare_cells,
 )
 
 __version__ = "0.1.0"
@@ -89,6 +91,7 @@ __all__ = [
     "NonpositiveBandwidth",
     "PitchGrid",
     "PitchsimError",
+    "PreparedCells",
     "RosterMatrix",
     "TestResult",
     "TooLarge",
@@ -116,5 +119,6 @@ __all__ = [
     "pairs_to_csv",
     "parse_activity_groups",
     "permutation_test",
+    "prepare_cells",
     "rasterize",
 ]

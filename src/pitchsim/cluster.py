@@ -96,33 +96,32 @@ def complete_linkage(d) -> Dendrogram:
 
     work = d.copy()
     np.fill_diagonal(work, np.inf)
-    active = list(range(k))          # positions still in play
+    active = np.arange(k)            # positions still in play
     node_id = list(range(k))         # dendrogram node id per position
-    min_leaf = list(range(k))        # smallest leaf id per position
+    min_leaf = np.arange(k)          # smallest leaf id per position
 
     merges: list[Merge] = []
     for step in range(k - 1):
-        best = None
-        for ai in range(len(active)):
-            a = active[ai]
-            for bi in range(ai + 1, len(active)):
-                b = active[bi]
-                lo, hi = sorted((min_leaf[a], min_leaf[b]))
-                key = (work[a, b], lo, hi)
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        (height, _, _), a, b = best
+        block = work[np.ix_(active, active)]
+        ai, bi = np.nonzero(block == block.min())
+        # each pair appears in both orders: ai < bi keeps one, and no diagonal
+        pa, pb = active[ai[ai < bi]], active[bi[ai < bi]]
+        # among the pairs at the minimal height, the least (lo, hi) leaf key
+        la, lb = min_leaf[pa], min_leaf[pb]
+        t = int(np.argmin(np.minimum(la, lb) * k + np.maximum(la, lb)))
+        a, b = int(pa[t]), int(pb[t])
+        height = float(work[a, b])
         if min_leaf[b] < min_leaf[a]:
             a, b = b, a
-        merges.append(Merge(left=node_id[a], right=node_id[b], height=float(height)))
-        # complete-linkage update: slot a becomes the merged cluster
-        for c in active:
-            if c != a and c != b:
-                merged = max(work[a, c], work[b, c])
-                work[a, c] = work[c, a] = merged
+        merges.append(Merge(left=node_id[a], right=node_id[b], height=height))
+        # complete-linkage update: slot a becomes the merged cluster; like
+        # max(), keep slot a's value unless slot b's is larger
+        merged = np.where(work[b, active] > work[a, active], work[b, active], work[a, active])
+        work[a, active] = merged
+        work[active, a] = merged
         node_id[a] = k + step
         min_leaf[a] = min(min_leaf[a], min_leaf[b])
-        active.remove(b)
+        active = active[active != b]
     return Dendrogram(n_leaves=k, merges=tuple(merges))
 
 

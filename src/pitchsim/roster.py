@@ -14,7 +14,7 @@ import numpy as np
 from .errors import GridMismatch, ZeroVariance
 from .grid import WeightsMatrix
 from .heatmap import Heatmap
-from .stats import TestResult, permutation_test
+from .stats import PreparedCells, TestResult, permutation_test, prepare_cells
 
 __all__ = [
     "RosterMatrix",
@@ -55,11 +55,44 @@ def pair_seed(master_seed: int, a, b) -> int:
     distinct master seeds cannot collide with shifted digests. Integer ids
     therefore seed like their decimal strings.
     """
-    digests = [hashlib.blake2b(str(pid).encode("utf-8"), digest_size=8).digest()
-               for pid in (a, b)]
-    lo, hi = sorted(int.from_bytes(d, "little") for d in digests)
+    return _seed(master_seed, _digest(a), _digest(b))
+
+
+def _digest(pid) -> int:
+    return int.from_bytes(hashlib.blake2b(str(pid).encode("utf-8"), digest_size=8).digest(),
+                          "little")
+
+
+def _seed(master_seed: int, da: int, db: int) -> int:
+    lo, hi = sorted((da, db))
     words = np.array([master_seed & _MASK64, lo, hi], dtype=np.uint64)
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
+
+
+@dataclass(frozen=True, eq=False)
+class _Player:
+    """What every pair test of one player needs from that player alone."""
+
+    player_id: str
+    digest: int
+    cells: PreparedCells
+
+
+def _prepare_player(h: Heatmap, w: WeightsMatrix) -> _Player:
+    try:
+        cells = prepare_cells(h.cells, w)
+    except ZeroVariance:
+        raise ZeroVariance(f"player {h.player_id!r} has a constant heatmap") from None
+    return _Player(h.player_id, _digest(h.player_id), cells)
+
+
+def _test(a: _Player, b: _Player, w: WeightsMatrix, n_perm: int,
+          master_seed: int) -> TestResult:
+    # permutation_test is looked up here at call time, so a wrapper
+    # installed on this module sees every pair test
+    x, y = (a, b) if a.player_id <= b.player_id else (b, a)
+    seed = _seed(master_seed, x.digest, y.digest)
+    return permutation_test(x.cells, y.cells, w, n_perm=n_perm, seed=seed)
 
 
 def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
@@ -70,17 +103,20 @@ def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
     one is permuted, with the stream seeded by :func:`pair_seed`. The result
     is therefore the same for (a, b) and (b, a), and in any roster that
     holds the pair.
+
+    Raises
+    ------
+    ZeroVariance
+        Naming the player whose heatmap is constant.
     """
-    x, y = (a, b) if a.player_id <= b.player_id else (b, a)
-    seed = pair_seed(master_seed, x.player_id, y.player_id)
-    return permutation_test(x.cells, y.cells, w, n_perm=n_perm, seed=seed)
+    return _test(_prepare_player(a, w), _prepare_player(b, w), w, n_perm, master_seed)
 
 
 _POOL: dict = {}
 
 
-def _pool_init(heatmaps, w, n_perm, master_seed):
-    _POOL["heatmaps"] = heatmaps
+def _pool_init(players, w, n_perm, master_seed):
+    _POOL["players"] = players
     _POOL["w"] = w
     _POOL["n_perm"] = n_perm
     _POOL["master_seed"] = master_seed
@@ -88,9 +124,9 @@ def _pool_init(heatmaps, w, n_perm, master_seed):
 
 def _pool_pair(pair: tuple[int, int]) -> tuple[int, int, TestResult]:
     i, j = pair
-    heatmaps = _POOL["heatmaps"]
-    result = pair_test(heatmaps[i], heatmaps[j], _POOL["w"],
-                       n_perm=_POOL["n_perm"], master_seed=_POOL["master_seed"])
+    players = _POOL["players"]
+    result = _test(players[i], players[j], _POOL["w"], _POOL["n_perm"],
+                   _POOL["master_seed"])
     return i, j, result
 
 
@@ -108,8 +144,11 @@ def compute_matrix(
     player ids are the identity that keys it: reordering the heatmaps only
     permutes the matrix, adding a player leaves every existing entry
     unchanged, and results are bitwise identical for any worker count and
-    any pair scheduling order. The pool has ``min(workers, pairs, CPUs)``
-    processes; with one, the pairs run in this process.
+    any pair scheduling order. Each player's half of the work (centering,
+    spatial lags, id digest) is done once, before the pool starts, so the
+    pair loop does only per-pair work. The pool has
+    ``min(workers, pairs, CPUs)`` processes; with one, the pairs run in
+    this process.
 
     Raises
     ------
@@ -136,11 +175,10 @@ def compute_matrix(
             )
         if not h.normalized:
             raise ValueError(f"heatmap {h.player_id!r} is not normalized")
-        if np.ptp(h.cells) == 0.0:
-            raise ZeroVariance(f"player {h.player_id!r} has a constant heatmap")
     rows, cols, _ = ref
     if w.n != rows * cols:
         raise GridMismatch(f"weights have {w.n} cells, heatmaps have {rows * cols}")
+    players = [_prepare_player(h, w) for h in heatmaps]
 
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     # the pool starts all its processes at once
@@ -149,13 +187,14 @@ def compute_matrix(
     pmat = np.empty((k, k))
     lmat = np.empty((k, k))
     if workers <= 1:
-        _pool_init(heatmaps, w, n_perm, master_seed)
+        _pool_init(players, w, n_perm, master_seed)
         _fill(pmat, lmat, map(_pool_pair, pairs))
     else:
+        # workers get the prepared players once, with the pool state, not per pair
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pool_init,
-            initargs=(heatmaps, w, n_perm, master_seed),
+            initargs=(players, w, n_perm, master_seed),
         ) as pool:
             chunk = max(1, len(pairs) // (workers * 4))
             _fill(pmat, lmat, pool.map(_pool_pair, pairs, chunksize=chunk))

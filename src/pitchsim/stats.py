@@ -29,8 +29,10 @@ from .errors import (
 from .grid import WeightsMatrix
 
 __all__ = [
+    "PreparedCells",
     "TestResult",
     "morans_i",
+    "prepare_cells",
     "lees_l",
     "permutation_test",
     "exact_permutation_test",
@@ -90,10 +92,15 @@ def _as_vector(values, n: int, name: str) -> np.ndarray:
 
 
 def _center(v: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """Mean-centered copy and its sum of squares; rejects constant input."""
+    """Mean-centered copy and its sum of squares; rejects constant input.
+
+    A constant vector's mean can round off its value, which would leave a
+    tiny nonzero constant instead of zeros, so constancy is tested on the
+    values themselves.
+    """
     vc = v - v.mean()
     ss = float(vc @ vc)
-    if ss <= 0.0:
+    if ss <= 0.0 or v.min() == v.max():
         raise ZeroVariance(f"{name} is constant")
     return vc, ss
 
@@ -123,26 +130,84 @@ def morans_i(x, w: WeightsMatrix) -> float:
     return (w.n / s0) * (num / ssx)
 
 
-def _lee_parts(x, y, w: WeightsMatrix):
-    """Observed Lee's L, centered ``y``, ``W xc`` and the factor scale/denom.
+@dataclass(frozen=True, eq=False)
+class PreparedCells:
+    """One cell vector readied on ``w`` for Lee's L against any partner.
 
-    W is symmetric, so (W yc[pi]) . (W xc) = yc[pi] . (W W xc), and with
-    u = W (W xc) * factor, scoring a relabeling pi of ``y`` is one gather
-    and one dot product, L(pi) = yc[pi] @ u.
+    Holds everything a test needs from one side of a pair, so a roster
+    builds it once per player and every pair test reuses it. W is
+    symmetric, so (W yc[pi]) . (W xc) = yc[pi] . (W W xc): with ``x``
+    fixed, scoring a relabeling pi of ``y`` needs ``y.vc`` and
+    ``x.lag2`` only. Built by :func:`prepare_cells`; the arrays are
+    read-only.
+
+    Attributes
+    ----------
+    w : WeightsMatrix
+        The weights the record was prepared on.
+    scale : float
+        n / sum_i (sum_j w_ij)^2, Lee's normalizer; a property of ``w``.
+    vc : ndarray
+        Mean-centered cells.
+    norm : float
+        sqrt(sum vc^2).
+    lag : ndarray
+        W vc.
+    lag2 : ndarray
+        W (W vc).
     """
-    x = _as_vector(x, w.n, "x")
-    y = _as_vector(y, w.n, "y")
+
+    w: WeightsMatrix
+    scale: float
+    vc: np.ndarray
+    norm: float
+    lag: np.ndarray
+    lag2: np.ndarray
+
+
+def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
+    """Check one cell vector and compute its half of every Lee's L test on ``w``.
+
+    Raises
+    ------
+    ValueError
+        If ``values`` does not have one finite value per cell.
+    IsolatedCell
+        If any cell of ``w`` has no neighbours.
+    ZeroVariance
+        If ``values`` is constant.
+    """
+    v = _as_vector(values, w.n, name)
     row_sums = w.row_sums()
     if np.any(row_sums == 0.0):
         isolated = int(np.flatnonzero(row_sums == 0.0)[0])
         raise IsolatedCell(f"cell {isolated} has no neighbours")
-    xc, ssx = _center(x, "x")
-    yc, ssy = _center(y, "y")
-    scale = w.n / float(row_sums @ row_sums)
-    denom = math.sqrt(ssx) * math.sqrt(ssy)
-    lag_x = w.lag(xc)
-    l_obs = scale * float(lag_x @ w.lag(yc)) / denom
-    return l_obs, yc, lag_x, scale / denom
+    vc, ss = _center(v, name)
+    lag = w.lag(vc)
+    lag2 = w.lag(lag)
+    for a in (vc, lag, lag2):
+        a.flags.writeable = False
+    return PreparedCells(w=w, scale=w.n / float(row_sums @ row_sums), vc=vc,
+                         norm=math.sqrt(ss), lag=lag, lag2=lag2)
+
+
+def _prepared(x, y, w: WeightsMatrix) -> tuple[PreparedCells, PreparedCells]:
+    """Both sides of a pair as records on ``w``; raw cell vectors are prepared here."""
+    out = []
+    for v, name in ((x, "x"), (y, "y")):
+        if not isinstance(v, PreparedCells):
+            v = prepare_cells(v, w, name)
+        elif v.w is not w:
+            raise ValueError(f"{name} was prepared on other weights")
+        out.append(v)
+    return out[0], out[1]
+
+
+def _observed(x: PreparedCells, y: PreparedCells) -> tuple[float, float]:
+    """Observed Lee's L of the pair and the factor scale/denom that turns
+    ``x.lag2`` into u, so that L(pi) = y.vc[pi] @ u."""
+    denom = x.norm * y.norm
+    return x.scale * float(x.lag @ y.lag) / denom, x.scale / denom
 
 
 def lees_l(x, y, w: WeightsMatrix) -> float:
@@ -153,7 +218,9 @@ def lees_l(x, y, w: WeightsMatrix) -> float:
         / [sqrt(sum_i (x_i - xbar)^2) * sqrt(sum_i (y_i - ybar)^2)]
 
     Symmetric in ``x`` and ``y``. Positive when the two variables tend to
-    be above (or below) their means in the same neighbourhoods.
+    be above (or below) their means in the same neighbourhoods. Either
+    argument may be a cell vector or a :class:`PreparedCells` record on
+    ``w``.
 
     Raises
     ------
@@ -162,7 +229,7 @@ def lees_l(x, y, w: WeightsMatrix) -> float:
     IsolatedCell
         If any cell has no neighbours.
     """
-    return _lee_parts(x, y, w)[0]
+    return _observed(*_prepared(x, y, w))[0]
 
 
 def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
@@ -174,6 +241,8 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     the observed one (ties count, see :func:`_summarize`). Fully
     reproducible: the permutation stream is a counter-based generator keyed
     by ``seed``, so results do not depend on scheduling or thread count.
+    ``x`` and ``y`` are cell vectors or :class:`PreparedCells` records on
+    ``w``; the result is the same either way.
 
     Raises
     ------
@@ -182,8 +251,9 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     """
     if n_perm < 1:
         raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
-    l_obs, yc, lag_x, factor = _lee_parts(x, y, w)
-    u = w.lag(lag_x) * factor
+    x, y = _prepared(x, y, w)
+    l_obs, factor = _observed(x, y)
+    u = x.lag2 * factor
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     # chunks continue one stream, so the draws and n_ge ignore the chunk size
     rows = min(_PERM_CHUNK, n_perm)
@@ -192,7 +262,7 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     for start in range(0, n_perm, rows):
         m = min(rows, n_perm - start)
         gen.permuted(np.broadcast_to(np.arange(w.n), (m, w.n)), axis=1, out=perms[:m])
-        sims[start:start + m] = yc[perms[:m]] @ u
+        sims[start:start + m] = y.vc[perms[:m]] @ u
     return _summarize(l_obs, sims, n_perm, int(seed))
 
 
@@ -212,11 +282,11 @@ def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
     n = w.n
     if n > EXACT_MAX_CELLS:
         raise TooLarge(f"exact test enumerates n! permutations; n={n} exceeds {EXACT_MAX_CELLS}")
-    l_obs, yc, lag_x, factor = _lee_parts(x, y, w)
-    u = w.lag(lag_x) * factor
+    x, y = _prepared(x, y, w)
+    l_obs, factor = _observed(x, y)
     perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
     # the identity is enumerated first; it is the observed arrangement
-    return _summarize(l_obs, yc[perms[1:]] @ u, perms.shape[0] - 1, 0)
+    return _summarize(l_obs, y.vc[perms[1:]] @ (x.lag2 * factor), perms.shape[0] - 1, 0)
 
 
 def _summarize(l_obs: float, sims: np.ndarray, n_perm: int, seed: int) -> TestResult:

@@ -106,11 +106,15 @@ def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
         body.append(_text(margin, 16, title, size=14))
     x0 = margin + label_w
     y0 = header + margin
+    # p-values take few distinct values (at most n_perm + 1): colour each once
+    distinct, which = np.unique(values, return_inverse=True)
+    colors = [color_ramp(v) for v in distinct]
+    which = which.reshape(values.shape)
     for i in range(k):
         body.append(_text(margin, y0 + i * cell + cell * 0.7, labels[i], size=10))
         for j in range(k):
             body.append(
-                _rect(x0 + j * cell, y0 + i * cell, cell, cell, color_ramp(values[i, j]))
+                _rect(x0 + j * cell, y0 + i * cell, cell, cell, colors[which[i, j]])
             )
     return _document(size_x, size_y, body)
 

@@ -234,6 +234,35 @@ class TestCompare:
         assert "not found" in capsys.readouterr().err
 
 
+class TestConstantHeatmap:
+    # on 2x7 the mean of fourteen cells of 1/14 rounds away from 1/14, so
+    # centering leaves a tiny nonzero constant rather than zeros
+    @pytest.mark.parametrize("rows, cols", [(14, 20), (2, 7)])
+    @pytest.mark.parametrize("command", ["compare", "cluster"])
+    def test_one_error_line_naming_the_player(self, tmp_path, capsys, command, rows, cols):
+        n = rows * cols
+        docs = {
+            "flat": [1.0 / n] * n,
+            "ramp": list(np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)),
+        }
+        paths = []
+        for pid, cells in docs.items():
+            path = tmp_path / f"{pid}.json"
+            path.write_text(json.dumps({"player_id": pid, "rows": rows, "cols": cols,
+                                        "cells": cells, "normalized": True}),
+                            encoding="utf-8")
+            paths.append(str(path))
+        argv = [command, *paths, "--rows", str(rows), "--cols", str(cols),
+                "--out", str(tmp_path / "o")]
+        if command == "compare":
+            argv[1:1] = ["ramp", "flat"]
+        else:
+            argv += ["--cut", "0.5"]  # the default cut warns about the p floor
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: player 'flat' has a constant heatmap"]
+
+
 def _compare_json(capsys, a, b, paths):
     assert main(["compare", a, b, "--json", *paths]) == 0
     return json.loads(capsys.readouterr().out)

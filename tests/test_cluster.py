@@ -116,6 +116,17 @@ class TestCompleteLinkage:
             want = naive_complete_linkage(d)
             assert [(m.left, m.right, m.height) for m in dend.merges] == want
 
+    def test_matches_naive_reference_on_a_large_saturated_roster(self):
+        # p-values at n_perm 99 piled on the floor, a few middle values and 1
+        rng = np.random.default_rng(17)
+        levels = np.array([0.01, 0.02, 0.05, 0.5, 1.0])
+        d = levels[rng.choice(5, (120, 120), p=[0.3, 0.1, 0.1, 0.1, 0.4])]
+        d = np.maximum(d, d.T)
+        np.fill_diagonal(d, 0.01)
+        dend = ps.complete_linkage(d)
+        assert [(m.left, m.right, m.height) for m in dend.merges] == \
+            naive_complete_linkage(d)
+
     def test_heights_non_decreasing(self):
         rng = np.random.default_rng(18)
         for _ in range(20):

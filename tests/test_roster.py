@@ -135,6 +135,48 @@ class TestPoolSize:
         assert np.array_equal(m.statistic, five_matrix.statistic[sub])
 
 
+class TestPreparedPlayers:
+    """compute_matrix prepares each player once; every entry stays the raw test."""
+
+    @pytest.mark.parametrize("scheme", ["rook", "queen"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_entries_equal_raw_permutation_tests(self, grid, scheme, workers):
+        nine, _ = nine_player_roster(grid)
+        w = ps.adjacency(grid, scheme)
+        m = ps.compute_matrix(nine, w, n_perm=N_PERM, master_seed=MASTER_SEED,
+                              workers=workers)
+        for i in range(9):
+            for j in range(i, 9):
+                x, y = sorted((nine[i], nine[j]), key=lambda h: h.player_id)
+                want = ps.permutation_test(
+                    x.cells, y.cells, w, n_perm=N_PERM,
+                    seed=ps.pair_seed(MASTER_SEED, x.player_id, y.player_id))
+                assert m.pseudo_distance[i, j] == m.pseudo_distance[j, i] == want.p_value
+                assert m.statistic[i, j] == m.statistic[j, i] == want.statistic
+
+    def test_every_pair_calls_the_module_level_permutation_test(self, monkeypatch, five,
+                                                                weights, five_matrix):
+        calls = []
+        real = roster.permutation_test
+
+        def counted(x, y, w, **kwargs):
+            calls.append((x, y))
+            return real(x, y, w, **kwargs)
+
+        monkeypatch.setattr(roster, "permutation_test", counted)
+        monkeypatch.setattr(roster, "ProcessPoolExecutor",
+                            lambda **kw: _SerialPool([], **kw))
+        monkeypatch.setattr(roster.os, "cpu_count", lambda: 2)
+        m = ps.compute_matrix(five, weights, n_perm=N_PERM, master_seed=MASTER_SEED,
+                              workers=2)
+        assert len(calls) == 5 * 6 // 2
+        # one record per player, shared by all of that player's pairs
+        records = {id(r) for pair in calls for r in pair}
+        assert len(records) == 5
+        assert all(isinstance(r, ps.PreparedCells) for pair in calls for r in pair)
+        assert np.array_equal(m.pseudo_distance, five_matrix.pseudo_distance)
+
+
 class TestMatrixStructure:
     def test_identical_players_all_entries_at_floor(self, grid, weights):
         rng = np.random.default_rng(4)

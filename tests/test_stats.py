@@ -292,6 +292,91 @@ class TestPermutationTest:
             ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=0)
 
 
+class TestPreparedCells:
+    """Records made once per player give the same results as raw cell vectors."""
+
+    @pytest.mark.parametrize("rows,cols,scheme,n_perm", [
+        (2, 2, "rook", 1),       # one permutation: z is NaN
+        (3, 4, "queen", 499),
+        (14, 20, "queen", 99),
+        (7, 9, "rook", 1500),    # the stream spans two chunks
+    ])
+    def test_prepared_and_raw_calls_agree_in_every_field(self, rows, cols, scheme, n_perm):
+        w = ps.adjacency(ps.build_grid(rows, cols), scheme)
+        rng = np.random.default_rng(rows * cols + n_perm)
+        x, y = rng.random(w.n), rng.random(w.n)
+        px, py = ps.prepare_cells(x, w), ps.prepare_cells(y, w, "y")
+        raw = ps.permutation_test(x, y, w, n_perm=n_perm, seed=17)
+        # repr is exact for floats and also compares a NaN z_score
+        for a, b in ((px, py), (px, y), (x, py)):
+            assert repr(ps.permutation_test(a, b, w, n_perm=n_perm, seed=17)) == repr(raw)
+        assert ps.lees_l(px, py, w) == ps.lees_l(x, y, w) == raw.statistic
+
+    def test_exact_test_agrees(self):
+        w = _queen(2, 3)
+        rng = np.random.default_rng(13)
+        x, y = rng.normal(size=6), rng.normal(size=6)
+        got = ps.exact_permutation_test(ps.prepare_cells(x, w), ps.prepare_cells(y, w), w)
+        assert repr(got) == repr(ps.exact_permutation_test(x, y, w))
+
+    def test_record_holds_the_centered_cells_and_their_lags(self):
+        w = _queen(4, 5)
+        x = np.random.default_rng(3).random(w.n)
+        rec = ps.prepare_cells(x, w)
+        xc = x - x.mean()
+        assert np.array_equal(rec.vc, xc)
+        assert rec.norm == math.sqrt(float(xc @ xc))
+        assert np.array_equal(rec.lag, w.lag(xc))
+        assert np.array_equal(rec.lag2, w.lag(w.lag(xc)))
+        for a in (rec.vc, rec.lag, rec.lag2):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize("scheme", ["rook", "queen"])
+    def test_floating_point_order_is_pinned(self, scheme):
+        # every p-value and L in the outputs depends on these operations and
+        # their order; a refactor that reassociates them changes output bytes
+        w = ps.adjacency(ps.build_grid(6, 9), scheme)
+        rng = np.random.default_rng(5)
+        n_perm = 60
+        row_sums = w.row_sums()
+        scale = w.n / float(row_sums @ row_sums)
+        for seed in range(30):
+            x, y = rng.random(w.n), rng.random(w.n)
+            xc, yc = x - x.mean(), y - y.mean()
+            denom = math.sqrt(float(xc @ xc)) * math.sqrt(float(yc @ yc))
+            l_obs = scale * float(w.lag(xc) @ w.lag(yc)) / denom
+            u = w.lag(w.lag(xc)) * (scale / denom)
+            perms = np.tile(np.arange(w.n), (n_perm, 1))
+            gen = np.random.Generator(np.random.Philox(key=seed))
+            gen.permuted(perms, axis=1, out=perms)
+            want = stats._summarize(l_obs, yc[perms] @ u, n_perm, seed)
+            got = ps.permutation_test(ps.prepare_cells(x, w), ps.prepare_cells(y, w), w,
+                                      n_perm=n_perm, seed=seed)
+            assert repr(got) == repr(want)
+
+    def test_record_from_other_weights_rejected(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.random(12), rng.random(12)
+        rook, queen = _rook(3, 4), _queen(3, 4)
+        with pytest.raises(ValueError, match="y was prepared on other weights"):
+            ps.permutation_test(x, ps.prepare_cells(y, rook), queen, n_perm=9)
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 7), (14, 20)])
+    def test_constant_vector_rejected_even_if_its_mean_rounds(self, rows, cols):
+        # on 2x7 the mean of fourteen cells of 1/14 is not 1/14, so centering
+        # alone leaves a tiny nonzero constant
+        w = _queen(rows, cols)
+        flat = np.full(w.n, 1.0 / w.n)
+        other = np.arange(w.n, dtype=float)
+        with pytest.raises(ZeroVariance, match="y is constant"):
+            ps.permutation_test(other, flat, w, n_perm=9)
+        with pytest.raises(ZeroVariance, match="x is constant"):
+            ps.lees_l(flat, other, w)
+        with pytest.raises(ZeroVariance):
+            ps.morans_i(flat, w)
+
+
 class TestExactPermutationTest:
     def test_two_cells(self):
         w = ps.WeightsMatrix.from_pairs(2, [(0, 1)])
