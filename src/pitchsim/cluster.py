@@ -131,7 +131,7 @@ def cut(dend: Dendrogram, height: float) -> list[int]:
     Returns one label per leaf. Clusters are numbered 1..m in order of
     their smallest member leaf id.
     """
-    if height < 0:
+    if not height >= 0:
         raise ValueError(f"cut height must be >= 0, got {height}")
     k = dend.n_leaves
     parent = list(range(k))
@@ -182,18 +182,15 @@ def export_newick(dend: Dendrogram, ids: list[str]) -> str:
         return f"{_newick_name(ids[0])};"
 
     elevation = [0.0] * k + [m.height / 2.0 for m in dend.merges]
-
-    def render(node: int, parent_elev: float) -> str:
-        length = parent_elev - elevation[node]
-        if node < k:
-            return f"{_newick_name(ids[node])}:{length!r}"
-        m = dend.merges[node - k]
-        inner = f"({render(m.left, elevation[node])},{render(m.right, elevation[node])})"
-        return f"{inner}:{length!r}"
-
-    root = k + len(dend.merges) - 1
-    m = dend.merges[root - k]
-    return f"({render(m.left, elevation[root])},{render(m.right, elevation[root])});"
+    # each node's text without its branch length, built in merge order:
+    # children always merge before their parent, so no recursion is needed
+    text = {leaf: _newick_name(name) for leaf, name in enumerate(ids)}
+    for node, m in enumerate(dend.merges, start=k):
+        left, right = text.pop(m.left), text.pop(m.right)
+        top = elevation[node]
+        text[node] = (f"({left}:{top - elevation[m.left]!r},"
+                      f"{right}:{top - elevation[m.right]!r})")
+    return f"{text[node]};"
 
 
 def merges_to_json(dend: Dendrogram, ids: list[str]) -> dict:

@@ -8,6 +8,7 @@ import io
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -78,21 +79,34 @@ class _Player:
     cells: PreparedCells
 
 
-def _prepare_player(h: Heatmap, w: WeightsMatrix) -> _Player:
-    try:
-        cells = prepare_cells(h.cells, w)
-    except ZeroVariance:
-        raise ZeroVariance(f"player {h.player_id!r} has a constant heatmap") from None
-    return _Player(h.player_id, _digest(h.player_id), cells)
+def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[_Player]:
+    """Each player's half of every pair test on ``w``; the one place the
+    per-player rules (one grid of ``w.n`` cells, normalized, not constant) are checked."""
+    rows, cols, _ = ref = heatmaps[0].grid_ref
+    if w.n != rows * cols:
+        raise GridMismatch(f"weights have {w.n} cells, heatmaps have {rows * cols}")
+    players = []
+    for h in heatmaps:
+        if h.grid_ref != ref:
+            raise GridMismatch(
+                f"player {h.player_id!r} uses grid {h.grid_ref}, others use {ref}"
+            )
+        if not h.normalized:
+            raise ValueError(f"heatmap {h.player_id!r} is not normalized")
+        try:
+            cells = prepare_cells(h.cells, w)
+        except ZeroVariance:
+            raise ZeroVariance(f"player {h.player_id!r} has a constant heatmap") from None
+        players.append(_Player(h.player_id, _digest(h.player_id), cells))
+    return players
 
 
-def _test(a: _Player, b: _Player, w: WeightsMatrix, n_perm: int,
-          master_seed: int) -> TestResult:
+def _test(a: _Player, b: _Player, n_perm: int, master_seed: int) -> TestResult:
     # permutation_test is looked up here at call time, so a wrapper
     # installed on this module sees every pair test
     x, y = (a, b) if a.player_id <= b.player_id else (b, a)
     seed = _seed(master_seed, x.digest, y.digest)
-    return permutation_test(x.cells, y.cells, w, n_perm=n_perm, seed=seed)
+    return permutation_test(x.cells, y.cells, x.cells.w, n_perm=n_perm, seed=seed)
 
 
 def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
@@ -102,32 +116,26 @@ def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
     The heatmap whose ``player_id`` sorts first is held fixed and the other
     one is permuted, with the stream seeded by :func:`pair_seed`. The result
     is therefore the same for (a, b) and (b, a), and in any roster that
-    holds the pair.
-
-    Raises
-    ------
-    ZeroVariance
-        Naming the player whose heatmap is constant.
+    holds the pair. It refuses the same heatmaps as :func:`compute_matrix`,
+    with the same errors.
     """
-    return _test(_prepare_player(a, w), _prepare_player(b, w), w, n_perm, master_seed)
+    return _test(*_prepare([a, b], w), n_perm, master_seed)
 
 
-_POOL: dict = {}
+def _pair(players, n_perm, master_seed, pair: tuple[int, int]) -> tuple[int, int, TestResult]:
+    i, j = pair
+    return i, j, _test(players[i], players[j], n_perm, master_seed)
 
 
-def _pool_init(players, w, n_perm, master_seed):
-    _POOL["players"] = players
-    _POOL["w"] = w
-    _POOL["n_perm"] = n_perm
-    _POOL["master_seed"] = master_seed
+_POOL: dict = {}  # a pool worker process's bound _pair, set once by _pool_init
+
+
+def _pool_init(players, n_perm, master_seed):
+    _POOL["pair"] = partial(_pair, players, n_perm, master_seed)
 
 
 def _pool_pair(pair: tuple[int, int]) -> tuple[int, int, TestResult]:
-    i, j = pair
-    players = _POOL["players"]
-    result = _test(players[i], players[j], _POOL["w"], _POOL["n_perm"],
-                   _POOL["master_seed"])
-    return i, j, result
+    return _POOL["pair"](pair)
 
 
 def compute_matrix(
@@ -144,11 +152,12 @@ def compute_matrix(
     player ids are the identity that keys it: reordering the heatmaps only
     permutes the matrix, adding a player leaves every existing entry
     unchanged, and results are bitwise identical for any worker count and
-    any pair scheduling order. Each player's half of the work (centering,
-    spatial lags, id digest) is done once, before the pool starts, so the
-    pair loop does only per-pair work. The pool has
+    any pair scheduling order. Each player's half of the work (checks,
+    centering, spatial lags, id digest) is done once, before the pool
+    starts, so the pair loop does only per-pair work. The pool has
     ``min(workers, pairs, CPUs)`` processes; with one, the pairs run in
-    this process.
+    this process. No module state is kept in the calling process, so
+    several threads may call this at once.
 
     Raises
     ------
@@ -163,22 +172,12 @@ def compute_matrix(
     k = len(heatmaps)
     if k < 2:
         raise ValueError(f"need at least 2 heatmaps, got {k}")
-    ref = heatmaps[0].grid_ref
     seen = set()
     for h in heatmaps:
         if h.player_id in seen:
             raise ValueError(f"duplicate player id {h.player_id!r}")
         seen.add(h.player_id)
-        if h.grid_ref != ref:
-            raise GridMismatch(
-                f"player {h.player_id!r} uses grid {h.grid_ref}, others use {ref}"
-            )
-        if not h.normalized:
-            raise ValueError(f"heatmap {h.player_id!r} is not normalized")
-    rows, cols, _ = ref
-    if w.n != rows * cols:
-        raise GridMismatch(f"weights have {w.n} cells, heatmaps have {rows * cols}")
-    players = [_prepare_player(h, w) for h in heatmaps]
+    players = _prepare(heatmaps, w)
 
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     # the pool starts all its processes at once
@@ -187,14 +186,13 @@ def compute_matrix(
     pmat = np.empty((k, k))
     lmat = np.empty((k, k))
     if workers <= 1:
-        _pool_init(players, w, n_perm, master_seed)
-        _fill(pmat, lmat, map(_pool_pair, pairs))
+        _fill(pmat, lmat, map(partial(_pair, players, n_perm, master_seed), pairs))
     else:
         # workers get the prepared players once, with the pool state, not per pair
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_pool_init,
-            initargs=(players, w, n_perm, master_seed),
+            initargs=(players, n_perm, master_seed),
         ) as pool:
             chunk = max(1, len(pairs) // (workers * 4))
             _fill(pmat, lmat, pool.map(_pool_pair, pairs, chunksize=chunk))

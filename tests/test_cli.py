@@ -423,6 +423,14 @@ class TestCluster:
         assert main(["cluster", path, path, "--out", str(tmp_path / "o")]) == 1
         assert "duplicate player id" in capsys.readouterr().err
 
+    def test_single_heatmap_fails_writing_nothing(self, five_heatmap_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["cluster", _heatmap_args(five_heatmap_dir)[0], "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cluster needs at least 2 players\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestMalformedHeatmap:
     @pytest.mark.parametrize("field,mangle", [

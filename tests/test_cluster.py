@@ -219,6 +219,10 @@ class TestCut:
         with pytest.raises(ValueError, match=">= 0"):
             ps.cut(dend, -0.5)
 
+    def test_nan_height_rejected(self, dend):
+        with pytest.raises(ValueError, match=">= 0, got nan"):
+            ps.cut(dend, float("nan"))
+
 
 class TestNewick:
     def test_two_leaf_shape(self):
@@ -254,6 +258,17 @@ class TestNewick:
         # ultrametric: every leaf sits at half the root merge height
         assert all(math.isclose(t, dend.root_height / 2.0, rel_tol=1e-12)
                    for t in total)
+
+    def test_deep_chain_does_not_recurse(self):
+        # each merge adds one leaf to the previous cluster: 4,999 levels deep
+        k = 5000
+        merges = [ps.Merge(0, 1, 1.0)] + [ps.Merge(k + t - 1, t + 1, 1.0)
+                                          for t in range(1, k - 1)]
+        dend = ps.Dendrogram(n_leaves=k, merges=tuple(merges))
+        ids = [f"p{i}" for i in range(k)]
+        want = ("(" * (k - 1) + "p0:0.5,p1:0.5)"
+                + "".join(f":0.0,p{i}:0.5)" for i in range(2, k)) + ";")
+        assert ps.export_newick(dend, ids) == want
 
     def test_id_count_must_match(self):
         dend = ps.complete_linkage(np.array([[0.0, 0.5], [0.5, 0.0]]))

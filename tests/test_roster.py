@@ -1,8 +1,11 @@
 """All-pairs pseudo-distance matrix over synthetic rosters."""
 
 import csv
+import gc
 import io
 import json
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +264,103 @@ class TestValidation:
         a = blob_heatmap(rng, "a", 40.0, 40.0, 9.0, grid)
         with pytest.raises(ValueError, match="at least 2"):
             ps.compute_matrix([a], weights, n_perm=9)
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestPairTestValidation:
+    """pair_test refuses exactly the heatmaps compute_matrix refuses, with the same error."""
+
+    @pytest.mark.parametrize("case, error", [
+        ("transposed grid", GridMismatch),
+        ("weights of another grid", GridMismatch),
+        ("unnormalized", ValueError),
+        ("constant", ZeroVariance),
+    ])
+    def test_same_refusal_as_compute_matrix(self, grid, weights, case, error):
+        rng = np.random.default_rng(6)
+        a = blob_heatmap(rng, "a", 40.0, 40.0, 9.0, grid)
+        b = blob_heatmap(rng, "b", 60.0, 60.0, 9.0, grid)
+        w = weights
+        if case == "transposed grid":
+            b = blob_heatmap(rng, "b", 60.0, 60.0, 9.0,
+                             ps.build_grid(grid.cols, grid.rows))
+        elif case == "weights of another grid":
+            w = ps.adjacency(ps.build_grid(7, 10), "queen")
+        elif case == "unnormalized":
+            b = ps.rasterize([(60.0, 60.0, 1.0)], grid, 5.0, player_id="b")
+        else:
+            b = ps.Heatmap(player_id="b", grid_ref=grid.key,
+                           cells=np.full(grid.n, 1.0 / grid.n), normalized=True)
+        got = _refusal(lambda: ps.pair_test(a, b, w, n_perm=9))
+        assert got == _refusal(lambda: ps.compute_matrix([a, b], w, n_perm=9))
+        assert issubclass(got[0], error)
+
+
+class TestNoSharedState:
+    def test_concurrent_serial_matrices_keep_their_own_rosters(self, monkeypatch, grid,
+                                                               weights):
+        rng = np.random.default_rng(31)
+        rosters = [[blob_heatmap(rng, f"{tag}{i}", 20.0 + 12.0 * i, cy, 9.0, grid)
+                    for i in range(6)]
+                   for tag, cy in (("a", 30.0), ("b", 70.0))]
+        want = [ps.compute_matrix(r, weights, n_perm=N_PERM, master_seed=MASTER_SEED)
+                for r in rosters]
+
+        # each thread holds its first pair test until the other thread has
+        # started its own pair loop, so the two loops overlap
+        started = threading.Barrier(2, timeout=60)
+        local = threading.local()
+        real = roster.permutation_test
+
+        def overlapped(*args, **kwargs):
+            if not getattr(local, "started", False):
+                local.started = True
+                started.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(roster, "permutation_test", overlapped)
+        got = [None, None]
+
+        def run(t):
+            got[t] = ps.compute_matrix(rosters[t], weights, n_perm=N_PERM,
+                                       master_seed=MASTER_SEED, workers=1)
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for g, m in zip(got, want):
+            assert g is not None
+            assert g.player_ids == m.player_ids
+            assert np.array_equal(g.pseudo_distance, m.pseudo_distance)
+            assert np.array_equal(g.statistic, m.statistic)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_roster_global_keeps_the_players_or_weights(self, monkeypatch, grid, five,
+                                                           workers):
+        w = ps.adjacency(grid, "queen")
+        records = []
+        real = roster.prepare_cells
+
+        def tracked(*args, **kwargs):
+            cells = real(*args, **kwargs)
+            records.append(weakref.ref(cells))
+            return cells
+
+        monkeypatch.setattr(roster, "prepare_cells", tracked)
+        ps.compute_matrix(five, w, n_perm=9, master_seed=MASTER_SEED, workers=workers)
+        gc.collect()
+        assert len(records) == len(five)
+        assert all(r() is None for r in records)
+        state = [vars(roster)] + [v for v in vars(roster).values()
+                                  if isinstance(v, (dict, list, set))]
+        assert not any(r is s for r in gc.get_referrers(w) for s in state)
 
 
 class TestPairSeed:
