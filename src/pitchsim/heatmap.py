@@ -6,6 +6,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -37,6 +38,14 @@ MIN_BANDWIDTH = 1e-3
 # points per matrix product in rasterize: bounds its kernel factors at
 # _POINT_CHUNK * (rows + cols) floats whatever the number of points
 _POINT_CHUNK = 8192
+
+# body lines per np.loadtxt call in parse_activity_groups: bounds the parse's
+# working memory whatever the file size
+_BLOCK_LINES = 4096
+
+_ROW_DTYPE = np.dtype(
+    [("player_id", object), ("x", np.float64), ("y", np.float64), ("value", np.float64)]
+)
 
 # required fields of a heatmap JSON document and their JSON types
 _HEATMAP_FIELDS = {"player_id": str, "rows": int, "cols": int, "cells": list, "normalized": bool}
@@ -75,6 +84,132 @@ def _open_text(source):
     return open(source, "r", encoding="utf-8", newline=""), True
 
 
+class _Rows:
+    """Accepted rows by player id in first-seen order, and the rows dropped.
+
+    Each player's rows are kept as ``(m, 3)`` pieces in file order until
+    :meth:`result` joins them.
+    """
+
+    def __init__(self, extent):
+        self.extent = extent
+        self.pieces: dict[str, list[np.ndarray]] = {}
+        self.out_of_extent = 0
+        self.negative = 0
+
+    def add_block(self, lines: list[str]) -> bool:
+        """Add whole lines through one ``np.loadtxt`` call.
+
+        Returns False, having added nothing, when the lines are not one
+        plain record each or hold a field ``np.loadtxt`` refuses or a
+        non-finite one: only :meth:`add_rows` reads those as the CSV format
+        does and reports them with their line number.
+        """
+        text = "".join(lines)
+        if not text.strip("\r\n"):
+            return True  # blank lines only; np.loadtxt would warn of no data
+        if '"' in text:
+            return False
+        limit = csv.field_size_limit()
+        if len(text) > limit and max(map(len, lines)) > limit:
+            return False
+        try:
+            rows = np.loadtxt(lines, delimiter=",", dtype=_ROW_DTYPE, comments=None,
+                              quotechar=None, ndmin=1)
+        except ValueError:
+            return False
+        xyz = np.column_stack((rows["x"], rows["y"], rows["value"]))
+        if not np.isfinite(xyz).all():
+            return False
+        x, y, value = xyz.T
+        xmin, ymin, xmax, ymax = self.extent
+        negative = value < 0
+        inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+        kept = np.flatnonzero(inside & ~negative)
+        # a row both negative and out of extent counts as negative
+        n_negative = int(np.count_nonzero(negative))
+        self.negative += n_negative
+        self.out_of_extent += len(xyz) - n_negative - len(kept)
+
+        # strip each distinct raw id once; number the players by first sighting
+        ids = rows["player_id"][kept].tolist()
+        pieces = []  # each player's piece list in self.pieces, by number
+        number_of_raw = {}
+        number_of_pid = {}
+        for raw in dict.fromkeys(ids):
+            pid = raw.strip()
+            number = number_of_pid.get(pid)
+            if number is None:
+                number = number_of_pid[pid] = len(pieces)
+                pieces.append(self.pieces.setdefault(pid, []))
+            number_of_raw[raw] = number
+        numbers = np.fromiter(map(number_of_raw.__getitem__, ids), np.intp, len(ids))
+        # a stable sort keeps each player's rows in file order
+        order = np.argsort(numbers, kind="stable")
+        ends = np.cumsum(np.bincount(numbers, minlength=len(pieces)))
+        for player, piece in zip(pieces, np.split(xyz[kept[order]], ends[:-1])):
+            player.append(piece)
+        return True
+
+    def add_rows(self, lines, first: int) -> None:
+        """Add every row of ``lines`` through ``csv.reader``, one at a time.
+
+        ``first`` is the line number of the first line. This loop reads any
+        input the CSV format allows and is the reference for
+        :meth:`add_block`.
+        """
+        xmin, ymin, xmax, ymax = self.extent
+        buffers: dict[str, array] = {}  # player id -> flat x, y, value buffer
+        extends = {}  # player id -> bound extend of its buffer
+        isfinite = math.isfinite
+        out_of_extent = 0
+        negative = 0
+        lineno = first - 1
+        try:
+            for lineno, row in enumerate(csv.reader(lines), start=first):
+                if len(row) != 4:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    raise MalformedRecord(f"line {lineno}: expected 4 fields, got {len(row)}")
+                try:
+                    x = float(row[1])
+                    y = float(row[2])
+                    value = float(row[3])
+                except ValueError:
+                    raise MalformedRecord(f"line {lineno}: non-numeric field in {row!r}") from None
+                if not (isfinite(x) and isfinite(y) and isfinite(value)):
+                    raise MalformedRecord(f"line {lineno}: non-finite field in {row!r}")
+                if value < 0:
+                    negative += 1
+                    continue
+                if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                    out_of_extent += 1
+                    continue
+                pid = row[0].strip()
+                extend = extends.get(pid)
+                if extend is None:
+                    extend = extends[pid] = buffers.setdefault(pid, array("d")).extend
+                extend((x, y, value))
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise MalformedRecord(f"line {lineno + 1}: {exc}") from None
+        for pid, buf in buffers.items():
+            self.pieces.setdefault(pid, []).append(np.frombuffer(buf).reshape(-1, 3))
+        self.out_of_extent += out_of_extent
+        self.negative += negative
+
+    def result(self) -> tuple[dict[str, np.ndarray], DropCounts]:
+        if not self.pieces:
+            raise EmptyInput("activity CSV has no valid rows")
+        groups = {pid: np.concatenate(pieces) for pid, pieces in self.pieces.items()}
+        return groups, DropCounts(out_of_extent=self.out_of_extent, negative_value=self.negative)
+
+
+def _lines_then_raise(lines, exc):
+    """Yield ``lines``, then raise ``exc``, as the stream they came from did."""
+    yield from lines
+    raise exc
+
+
 def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     """Parse a combined activity CSV, grouping rows by player id.
 
@@ -82,66 +217,57 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     ``player_id,x,y,value``. Rows outside the extent or with a negative
     value are dropped and counted; non-numeric fields abort the parse.
 
+    The body is read in blocks of ``_BLOCK_LINES`` lines, each parsed by one
+    ``np.loadtxt`` call. From the first block holding a quote, a line over
+    ``csv.field_size_limit()``, a non-finite field or anything else
+    ``np.loadtxt`` refuses, a row-by-row ``csv.reader`` loop reads the rest,
+    so the result and every error message are those of that loop alone.
+
     Returns
     -------
     groups : dict[str, numpy.ndarray]
         Each player's accepted rows as a C-contiguous ``(m, 3)`` float64
-        array of ``(x, y, value)``, players in first-seen order.
+        array of ``(x, y, value)``, in file order, players in first-seen
+        order.
     drops : DropCounts
 
     Raises
     ------
     MalformedRecord
-        On a bad header or non-numeric x/y/value field.
+        On a bad header, a row without 4 fields, a non-numeric or non-finite
+        x/y/value field, or a field over ``csv.field_size_limit()``.
     EmptyInput
         When no valid rows remain.
     """
-    xmin, ymin, xmax, ymax = extent
     stream, owned = _open_text(source)
     try:
-        reader = csv.reader(stream)
         try:
-            header = next(reader)
+            header = next(csv.reader(stream))
         except StopIteration:
             raise EmptyInput("activity CSV has no header") from None
+        except csv.Error as exc:
+            raise MalformedRecord(f"line 1: {exc}") from None
         if [h.strip() for h in header] != CSV_HEADER:
             raise MalformedRecord(
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
-        groups: dict[str, array] = {}  # player id -> flat x, y, value buffer
-        extends = {}  # player id -> bound extend of its buffer in groups
-        isfinite = math.isfinite
-        out_of_extent = 0
-        negative = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                raise MalformedRecord(f"line {lineno}: expected 4 fields, got {len(row)}")
+        rows = _Rows(extent)
+        lineno = 2
+        while True:
+            block = []
             try:
-                x = float(row[1])
-                y = float(row[2])
-                value = float(row[3])
-            except ValueError:
-                raise MalformedRecord(f"line {lineno}: non-numeric field in {row!r}") from None
-            if not (isfinite(x) and isfinite(y) and isfinite(value)):
-                raise MalformedRecord(f"line {lineno}: non-finite field in {row!r}")
-            if value < 0:
-                negative += 1
-                continue
-            if not (xmin <= x <= xmax and ymin <= y <= ymax):
-                out_of_extent += 1
-                continue
-            pid = row[0].strip()
-            extend = extends.get(pid)
-            if extend is None:
-                extend = extends[pid] = groups.setdefault(pid, array("d")).extend
-            extend((x, y, value))
-        if not groups:
-            raise EmptyInput("activity CSV has no valid rows")
-        # views of the buffers, not copies
-        arrays = {pid: np.frombuffer(buf).reshape(-1, 3) for pid, buf in groups.items()}
-        return arrays, DropCounts(out_of_extent=out_of_extent, negative_value=negative)
+                block.extend(islice(stream, _BLOCK_LINES))
+            except (OSError, UnicodeDecodeError) as exc:
+                # the rows read before the failure are checked first; then
+                # add_rows raises exc where the stream did
+                rows.add_rows(_lines_then_raise(block, exc), lineno)
+            if not block:
+                break
+            if not rows.add_block(block):
+                rows.add_rows(chain(block, stream), lineno)
+                break
+            lineno += len(block)
+        return rows.result()
     finally:
         if owned:
             stream.close()
@@ -240,7 +366,7 @@ def heatmap_to_json(h: Heatmap) -> dict:
         "player_id": h.player_id,
         "rows": rows,
         "cols": cols,
-        "cells": [float(v) for v in h.cells],
+        "cells": np.asarray(h.cells, dtype=np.float64).tolist(),
         "normalized": bool(h.normalized),
     }
 

@@ -9,6 +9,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -218,8 +219,8 @@ def matrix_to_json(m: RosterMatrix) -> dict:
         "player_ids": list(m.player_ids),
         "n_perm": m.n_perm,
         "master_seed": m.master_seed,
-        "p": [[float(v) for v in row] for row in m.pseudo_distance],
-        "l": [[float(v) for v in row] for row in m.statistic],
+        "p": np.asarray(m.pseudo_distance, dtype=np.float64).tolist(),
+        "l": np.asarray(m.statistic, dtype=np.float64).tolist(),
     }
 
 
@@ -228,15 +229,9 @@ def pairs_to_csv(m: RosterMatrix) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["player_a", "player_b", "lee_l", "p_value"])
-    k = len(m.player_ids)
-    for i in range(k):
-        for j in range(i, k):
-            writer.writerow(
-                [
-                    m.player_ids[i],
-                    m.player_ids[j],
-                    repr(float(m.statistic[i, j])),
-                    repr(float(m.pseudo_distance[i, j])),
-                ]
-            )
+    ids = m.player_ids
+    lmat = np.asarray(m.statistic, dtype=np.float64).tolist()
+    pmat = np.asarray(m.pseudo_distance, dtype=np.float64).tolist()
+    for i, a in enumerate(ids):
+        writer.writerows(zip(repeat(a), ids[i:], map(repr, lmat[i][i:]), map(repr, pmat[i][i:])))
     return buf.getvalue()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .grid import PitchGrid
@@ -20,18 +22,29 @@ _RAMP = (
     (0.875, (109, 205, 89)),
     (1.000, (253, 231, 37)),
 )
+_ANCHORS = np.array([t for t, _ in _RAMP])
+_CHANNELS = np.array([c for _, c in _RAMP], dtype=np.float64)
+
+
+def _ramp(t) -> list[str]:
+    """Hex colour of each value in ``t``; out-of-range values are clipped.
+
+    ``t`` in (anchor i, anchor i+1] takes segment i, and each channel is
+    rounded half to even. NaN takes the last anchor's colour.
+    """
+    t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
+    t[np.isnan(t)] = 1.0
+    seg = np.searchsorted(_ANCHORS[1:], t)
+    t0 = _ANCHORS[seg]
+    f = (t - t0) / (_ANCHORS[seg + 1] - t0)
+    lo = _CHANNELS[seg]
+    rgb = np.rint(lo + f[:, None] * (_CHANNELS[seg + 1] - lo)).astype(np.int64)
+    return [f"#{v:06x}" for v in (rgb @ [1 << 16, 1 << 8, 1]).tolist()]
 
 
 def color_ramp(t: float) -> str:
     """Hex color for t in [0, 1]; out-of-range values are clipped."""
-    t = min(max(float(t), 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(_RAMP, _RAMP[1:]):
-        if t <= t1:
-            f = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            r, g, b = (round(a + f * (b_ - a)) for a, b_ in zip(c0, c1))
-            return f"#{r:02x}{g:02x}{b:02x}"
-    r, g, b = _RAMP[-1][1]
-    return f"#{r:02x}{g:02x}{b:02x}"
+    return _ramp([float(t)])[0]
 
 
 def _document(width: float, height: float, body: list[str]) -> str:
@@ -76,13 +89,14 @@ def heatmap_svg(grid: PitchGrid, cells: np.ndarray, title: str = "") -> str:
         body.append(_text(margin, 16, title, size=14))
     cw = grid.cell_width * scale
     ch = grid.cell_height * scale
-    for idx in range(grid.n):
-        r, c = grid.cell_rowcol(idx)
-        x = margin + c * cw
-        # row 0 sits at the bottom of the field, SVG y grows downward
-        y = header + margin + field_h - (r + 1) * ch
-        t = cells[idx] / top if top > 0 else 0.0
-        body.append(_rect(x, y, cw, ch, color_ramp(t)))
+    xs = [f"{margin + c * cw:.2f}" for c in range(grid.cols)]
+    # row 0 sits at the bottom of the field, SVG y grows downward
+    ys = [f"{header + margin + field_h - (r + 1) * ch:.2f}" for r in range(grid.rows)]
+    size = f'width="{cw:.2f}" height="{ch:.2f}"'
+    fills = _ramp(cells / top if top > 0 else np.zeros(grid.n))
+    # flat index r * cols + c: rows outer, columns inner
+    body.extend(f'<rect x="{x}" y="{y}" {size} fill="{fill}"/>'
+                for (y, x), fill in zip(product(ys, xs), fills))
     body.append(
         f'<rect x="{margin:.2f}" y="{header + margin:.2f}" width="{field_w:.2f}" '
         f'height="{field_h:.2f}" fill="none" stroke="white" stroke-width="1"/>'
@@ -106,16 +120,16 @@ def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
         body.append(_text(margin, 16, title, size=14))
     x0 = margin + label_w
     y0 = header + margin
+    xs = [f"{x0 + j * cell:.2f}" for j in range(k)]
+    size = f'width="{cell:.2f}" height="{cell:.2f}"'
     # p-values take few distinct values (at most n_perm + 1): colour each once
     distinct, which = np.unique(values, return_inverse=True)
-    colors = [color_ramp(v) for v in distinct]
-    which = which.reshape(values.shape)
-    for i in range(k):
+    colors = _ramp(distinct)
+    for i, row in enumerate(which.reshape(values.shape).tolist()):
         body.append(_text(margin, y0 + i * cell + cell * 0.7, labels[i], size=10))
-        for j in range(k):
-            body.append(
-                _rect(x0 + j * cell, y0 + i * cell, cell, cell, colors[which[i, j]])
-            )
+        y = f"{y0 + i * cell:.2f}"
+        body.extend(f'<rect x="{x}" y="{y}" {size} fill="{colors[c]}"/>'
+                    for x, c in zip(xs, row))
     return _document(size_x, size_y, body)
 
 

@@ -249,3 +249,29 @@ def parse_newick(text: str):
     if pos != len(s):
         raise ValueError(f"trailing newick content at {pos}: {s[pos:]!r}")
     return names, tree
+
+
+# anchors of pitchsim.svg's colour ramp, written out again
+RAMP_ANCHORS = (
+    (0.000, (68, 1, 84)),
+    (0.125, (72, 40, 120)),
+    (0.250, (62, 74, 137)),
+    (0.375, (49, 104, 142)),
+    (0.500, (38, 130, 142)),
+    (0.625, (31, 158, 137)),
+    (0.750, (53, 183, 121)),
+    (0.875, (109, 205, 89)),
+    (1.000, (253, 231, 37)),
+)
+
+
+def color_ramp_scalar(t: float) -> str:
+    """Hex colour of one value: clip to [0, 1], walk the segments, round each channel."""
+    t = min(max(float(t), 0.0), 1.0)
+    for (t0, c0), (t1, c1) in zip(RAMP_ANCHORS, RAMP_ANCHORS[1:]):
+        if t <= t1:
+            f = (t - t0) / (t1 - t0)
+            r, g, b = (round(a + f * (b_ - a)) for a, b_ in zip(c0, c1))
+            return f"#{r:02x}{g:02x}{b:02x}"
+    r, g, b = RAMP_ANCHORS[-1][1]  # NaN compares false with every anchor
+    return f"#{r:02x}{g:02x}{b:02x}"

@@ -124,6 +124,19 @@ class TestRasterize:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no header" in err
 
+    def test_field_over_csv_limit_fails_with_one_error_line(self, tmp_path, capsys):
+        # csv's default field_size_limit is 131,072 characters
+        path = tmp_path / "long.csv"
+        path.write_text(f'player_id,x,y,value\n"{"a" * 200_000}",1,2,3\n', encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["rasterize", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "line 2" in lines[0] and "field larger than field limit" in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["rasterize", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1

@@ -6,11 +6,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from itertools import cycle, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pitchsim as ps
@@ -19,6 +21,7 @@ from pitchsim.errors import (
     EmptyInput,
     MalformedRecord,
     NonpositiveBandwidth,
+    PitchsimError,
     ZeroMass,
 )
 
@@ -114,6 +117,108 @@ class TestParsing:
             tracemalloc.stop()
         assert drops.total == 0 and sum(len(rows) for rows in groups.values()) == n_rows
         assert retained / n_rows <= 32
+
+
+    def test_rows_read_before_undecodable_bytes_are_checked_first(self, tmp_path):
+        # the bad byte sits past the stream's first 8 KiB chunk, in the same
+        # block of lines as the bad row before it
+        lines = ["player_id,x,y,value", "p1,50,50,1", "p1,oops,50,1"]
+        lines += [f"p1,{i % 100},50,1" for i in range(3000)]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + b"p1,\xff,1,1\n")
+        with pytest.raises(MalformedRecord, match="^line 3: non-numeric"):
+            ps.parse_activity_groups(path)
+        del lines[2]
+        path.write_bytes(("\n".join(lines) + "\n").encode() + b"p1,\xff,1,1\n")
+        with pytest.raises(UnicodeDecodeError):
+            ps.parse_activity_groups(path)
+
+    def test_block_of_blank_lines_does_not_warn(self):
+        text = "player_id,x,y,value\np1,1,2,3\n" + "\n" * (2 * heatmap._BLOCK_LINES) + "p1,4,5,6\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            groups, drops = ps.parse_activity_groups(_csv(text))
+        assert np.array_equal(groups["p1"], [[1, 2, 3], [4, 5, 6]]) and drops.total == 0
+
+    @pytest.mark.parametrize("text, line", [
+        (f'player_id,x,y,value\np1,1,2,3\n"{"a" * 200_000}",1,2,3\n', 3),
+        (f'player_id,x,y,"{"v" * 200_000}"\np1,1,2,3\n', 1),
+    ], ids=["row", "header"])
+    def test_field_over_csv_limit_names_its_line(self, text, line):
+        with pytest.raises(MalformedRecord, match=f"^line {line}: field larger than field limit"):
+            ps.parse_activity_groups(_csv(text))
+
+
+def _parse_by_rows(text, newline):
+    """The row loop alone over the whole body: the reference for the parse."""
+    stream = io.StringIO(text, newline=newline)
+    next(stream)  # the header, one plain line in every generated body
+    rows = heatmap._Rows(ps.DEFAULT_EXTENT)
+    rows.add_rows(stream, 2)
+    return rows.result()
+
+
+def _outcome(parse):
+    try:
+        groups, drops = parse()
+    except PitchsimError as exc:
+        return type(exc), str(exc)
+    return [(pid, a.shape, a.dtype, a.flags.c_contiguous, a.tobytes())
+            for pid, a in groups.items()], drops
+
+
+_PLAIN_IDS = st.sampled_from(["a", "b", " a ", "b\t", "", "p 1", "a\x00"])
+_QUOTED_IDS = st.sampled_from(['"a"', '" b"', '"a,b"', '"a""b"', '"x\ny"', '"x\r\ny"', '""', '"a"b'])
+_NUMBERS = st.one_of(
+    st.sampled_from(["0", "50", "100", "-0", " 1.5 ", "1_0", "\uff11", "nan", "inf", "-1",
+                     "-150", "150", "1e999", "", "x", '"5"', "\u20031"]),
+    st.floats(-20.0, 120.0).map(repr),
+)
+_ROWS = st.builds(lambda pid, x, y, value, extra: ",".join([pid, x, y, value]) + extra,
+                  st.one_of(_PLAIN_IDS, _QUOTED_IDS), _NUMBERS, _NUMBERS, _NUMBERS,
+                  st.sampled_from(["", "", "", ","]))
+_LINES = st.one_of(_ROWS, st.sampled_from(["", " ", "\t", ","]))
+# lines repeated to fill the first block, so that the drawn lines start just
+# before, on or just after the boundary between the first two blocks
+_FILLERS = {
+    "rows": ["a,50,50,1", "b,10.5,20,0.5", " a ,0,100,2"],
+    "drops": ["a,50,50,1", "b,150,50,1", "a,50,50,-1", "b,-5,50,-1"],
+    "blank": [""],
+}
+_ENDINGS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def _bodies(draw):
+    """A header line and a body of mostly one line ending, with its stream's newline."""
+    ending = draw(st.sampled_from(_ENDINGS))
+    n_fill = draw(st.sampled_from([0, 0, 0, heatmap._BLOCK_LINES - 2, heatmap._BLOCK_LINES - 1,
+                                   heatmap._BLOCK_LINES, heatmap._BLOCK_LINES + 1]))
+    filler = draw(st.sampled_from(sorted(_FILLERS)))
+    lines = [line + ending for line in islice(cycle(_FILLERS[filler]), n_fill)]
+    for line in draw(st.lists(_LINES, max_size=8)):
+        lines.append(line + draw(st.sampled_from([ending, ending, ending, *_ENDINGS])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "player_id,x,y,value\n" + "".join(lines), draw(st.sampled_from(["", "\n"]))
+
+
+class TestParseMatchesRowLoop:
+    """parse_activity_groups must agree with the row loop on every input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bodies())
+    # a quoted id in a block that np.loadtxt would read with its quotes
+    @example(("player_id,x,y,value\n\"a\",50,50,1\n", ""))
+    # a row both negative and out of extent is counted as negative
+    @example(("player_id,x,y,value\na,50,50,1\na,150,50,-1\n", ""))
+    # a bad row in the second block is reported with its own line number
+    @example(("player_id,x,y,value\n" + "a,50,50,1\n" * heatmap._BLOCK_LINES + "a,x,50,1\n", ""))
+    def test_same_groups_drops_and_errors(self, body):
+        text, newline = body
+        expected = _outcome(lambda: _parse_by_rows(text, newline))
+        got = _outcome(lambda: ps.parse_activity_groups(io.StringIO(text, newline=newline)))
+        assert got == expected
 
 
 class TestRasterize:

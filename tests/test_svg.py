@@ -1,10 +1,45 @@
 """SVG output."""
 
+import math
 import re
 
 import numpy as np
+import pytest
 
-from pitchsim.svg import color_ramp, matrix_svg
+import pitchsim as ps
+from pitchsim.svg import color_ramp, heatmap_svg, matrix_svg
+
+from oracles import RAMP_ANCHORS, color_ramp_scalar
+
+
+class TestColorRamp:
+    def test_matches_scalar_walk_at_anchors_neighbours_and_outside(self):
+        values = [math.nan, -math.inf, math.inf, -0.0, -1e-300, -3.0, 1.5, 2.0]
+        for a, _ in RAMP_ANCHORS:
+            values += [a, math.nextafter(a, -1.0), math.nextafter(a, 2.0)]
+        values += np.random.default_rng(2).random(5000).tolist()
+        values += (np.arange(8001) / 8000).tolist()
+        assert [color_ramp(v) for v in values] == [color_ramp_scalar(v) for v in values]
+
+
+class TestHeatmapSvg:
+    @pytest.mark.parametrize("kind", ["random", "zero"])
+    def test_each_cell_is_placed_by_its_row_and_column_and_filled_by_its_value(self, kind):
+        g = ps.build_grid(3, 5, extent=(0.0, 0.0, 105.0, 68.0))
+        cells = np.random.default_rng(4).random(g.n) if kind == "random" else np.zeros(g.n)
+        svg = heatmap_svg(g, cells, title="p")
+        rects = re.findall(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" '
+                           r'height="([^"]+)" fill="(#[0-9a-f]{6})"/>', svg)
+        cw, ch = g.cell_width * 6.0, g.cell_height * 6.0
+        top = cells.max()
+        expected = []
+        for idx in range(g.n):
+            r, c = g.cell_rowcol(idx)
+            y = 22.0 + 10.0 + 68.0 * 6.0 - (r + 1) * ch
+            t = cells[idx] / top if top > 0 else 0.0
+            expected.append((f"{10.0 + c * cw:.2f}", f"{y:.2f}", f"{cw:.2f}", f"{ch:.2f}",
+                             color_ramp_scalar(t)))
+        assert rects == expected
 
 
 class TestMatrixSvg:
@@ -17,4 +52,8 @@ class TestMatrixSvg:
                           rng.random((12, 12)))
         svg = matrix_svg(values, [f"p{i}" for i in range(12)], title="m")
         fills = re.findall(r'<rect [^>]*fill="(#[0-9a-f]{6})"', svg)
-        assert fills == [color_ramp(v) for v in values.ravel()]
+        assert fills == [color_ramp_scalar(v) for v in values.ravel()]
+        xy = re.findall(r'<rect x="([^"]+)" y="([^"]+)" width="18.00" height="18.00"', svg)
+        label_w = 8.0 * 3
+        assert xy == [(f"{10.0 + label_w + j * 18.0:.2f}", f"{22.0 + 10.0 + i * 18.0:.2f}")
+                      for i in range(12) for j in range(12)]
