@@ -228,7 +228,7 @@ def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
             "player_b": player_b,
             "lee_l": res.statistic,
             "p_value": res.p_value,
-            # NaN is not JSON: a degenerate permutation distribution has no z
+            # NaN is not JSON: with a constant double lag L has no spread, so no z
             "z_score": res.z_score if math.isfinite(res.z_score) else None,
             "n_perm": res.n_perm,
             "n_ge": res.n_ge,

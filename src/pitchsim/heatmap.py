@@ -147,8 +147,9 @@ class _Rows:
         # a stable sort keeps each player's rows in file order
         order = np.argsort(numbers, kind="stable")
         ends = np.cumsum(np.bincount(numbers, minlength=len(pieces)))
+        # copies, so no piece keeps the whole block's array alive
         for player, piece in zip(pieces, np.split(xyz[kept[order]], ends[:-1])):
-            player.append(piece)
+            player.append(piece.copy())
         return True
 
     def add_rows(self, lines, first: int) -> None:
@@ -200,7 +201,8 @@ class _Rows:
     def result(self) -> tuple[dict[str, np.ndarray], DropCounts]:
         if not self.pieces:
             raise EmptyInput("activity CSV has no valid rows")
-        groups = {pid: np.concatenate(pieces) for pid, pieces in self.pieces.items()}
+        # popping frees each player's pieces once joined, not after the last
+        groups = {pid: np.concatenate(self.pieces.pop(pid)) for pid in list(self.pieces)}
         return groups, DropCounts(out_of_extent=self.out_of_extent, negative_value=self.negative)
 
 

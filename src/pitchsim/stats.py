@@ -8,7 +8,7 @@ is positive spatial cross-correlation; negative association yields p near 1.
 
 Ties count as >= observed, with a tolerance: ``L_perm >= L_obs - 1e-10 *
 max(1, |L_obs|)``. Permutations come from one Philox stream in fixed-size
-chunks, so memory per test is O(chunk * n) plus n_perm floats for any n_perm.
+chunks, counted as drawn, so memory per test is O(chunk * n) for any n_perm.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class TestResult:
     p_value : float
         (n_ge + 1) / (n_perm + 1), in (0, 1].
     z_score : float
-        (statistic - permutation mean) / permutation sd; NaN when the
-        permutation distribution is degenerate. Diagnostics only.
+        statistic / sd, sd the exact sd of L over uniform relabelings of
+        ``y``; NaN when the double lag of ``x`` is constant. Diagnostics only.
     seed : int
         Seed the permutation stream was keyed with.
     """
@@ -203,11 +203,11 @@ def _prepared(x, y, w: WeightsMatrix) -> tuple[PreparedCells, PreparedCells]:
     return out[0], out[1]
 
 
-def _observed(x: PreparedCells, y: PreparedCells) -> tuple[float, float]:
-    """Observed Lee's L of the pair and the factor scale/denom that turns
-    ``x.lag2`` into u, so that L(pi) = y.vc[pi] @ u."""
+def _observed(x: PreparedCells, y: PreparedCells) -> tuple[float, np.ndarray]:
+    """Observed Lee's L of the pair and u = x.lag2 * scale / denom, so that
+    L(pi) = y.vc[pi] @ u."""
     denom = x.norm * y.norm
-    return x.scale * float(x.lag @ y.lag) / denom, x.scale / denom
+    return x.scale * float(x.lag @ y.lag) / denom, x.lag2 * (x.scale / denom)
 
 
 def lees_l(x, y, w: WeightsMatrix) -> float:
@@ -238,7 +238,7 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
 
     Holds ``x`` fixed, relabels the cells of ``y`` uniformly at random
     ``n_perm`` times, and counts permuted statistics at least as large as
-    the observed one (ties count, see :func:`_summarize`). Fully
+    the observed one (ties count, see :func:`_score`). Fully
     reproducible: the permutation stream is a counter-based generator keyed
     by ``seed``, so results do not depend on scheduling or thread count.
     ``x`` and ``y`` are cell vectors or :class:`PreparedCells` records on
@@ -252,18 +252,13 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     if n_perm < 1:
         raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
     x, y = _prepared(x, y, w)
-    l_obs, factor = _observed(x, y)
-    u = x.lag2 * factor
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     # chunks continue one stream, so the draws and n_ge ignore the chunk size
     rows = min(_PERM_CHUNK, n_perm)
     perms = np.empty((rows, w.n), dtype=np.intp)
-    sims = np.empty(n_perm)
-    for start in range(0, n_perm, rows):
-        m = min(rows, n_perm - start)
-        gen.permuted(np.broadcast_to(np.arange(w.n), (m, w.n)), axis=1, out=perms[:m])
-        sims[start:start + m] = y.vc[perms[:m]] @ u
-    return _summarize(l_obs, sims, n_perm, int(seed))
+    chunks = (gen.permuted(np.broadcast_to(np.arange(w.n), (m, w.n)), axis=1, out=perms[:m])
+              for m in (min(rows, n_perm - start) for start in range(0, n_perm, rows)))
+    return _score(x, y, chunks, n_perm, int(seed))
 
 
 def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
@@ -283,23 +278,25 @@ def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
     if n > EXACT_MAX_CELLS:
         raise TooLarge(f"exact test enumerates n! permutations; n={n} exceeds {EXACT_MAX_CELLS}")
     x, y = _prepared(x, y, w)
-    l_obs, factor = _observed(x, y)
     perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
     # the identity is enumerated first; it is the observed arrangement
-    return _summarize(l_obs, y.vc[perms[1:]] @ (x.lag2 * factor), perms.shape[0] - 1, 0)
+    return _score(x, y, [perms[1:]], perms.shape[0] - 1, 0)
 
 
-def _summarize(l_obs: float, sims: np.ndarray, n_perm: int, seed: int) -> TestResult:
-    """Test result from observed and permuted L; the one place ties are counted."""
-    n_ge = int(np.count_nonzero(sims >= l_obs - _TIE_RTOL * max(1.0, abs(l_obs))))
-    mean = float(sims.mean())
-    sd = float(sims.std())
-    z = (l_obs - mean) / sd if sd > 0.0 else float("nan")
+def _score(x: PreparedCells, y: PreparedCells, chunks, n_perm: int, seed: int) -> TestResult:
+    """Test result from relabelings of ``y`` in chunks (one per row), counted
+    as drawn; the one place ties are counted. L(pi) has mean 0 and variance
+    sum (u - mean u)^2 * sum y.vc^2 / (n - 1) exactly (Hoeffding 1951)."""
+    l_obs, u = _observed(x, y)
+    cut = l_obs - _TIE_RTOL * max(1.0, abs(l_obs))
+    n_ge = sum(int(np.count_nonzero(y.vc[p] @ u >= cut)) for p in chunks)
+    uc = u - u.mean()
+    sd = math.sqrt(float(uc @ uc) / (u.shape[0] - 1)) * y.norm
     return TestResult(
         statistic=l_obs,
         n_perm=n_perm,
         n_ge=n_ge,
         p_value=(n_ge + 1) / (n_perm + 1),
-        z_score=z,
+        z_score=l_obs / sd if u.min() < u.max() else float("nan"),
         seed=seed,
     )

@@ -226,20 +226,30 @@ class TestCompare:
         assert a["seed"] == b["seed"]
 
     @pytest.mark.parametrize("n_perm", [1, 999])
-    def test_json_output_is_strict_json(self, five_heatmap_dir, capsys, n_perm):
-        # one permutation gives a one-valued distribution, so no z-score
-        assert main(["compare", "gk", "fwd", "--json", "--n-perm", str(n_perm),
-                     *_heatmap_args(five_heatmap_dir)]) == 0
-
+    def test_json_output_is_strict_json(self, five_heatmap_dir, tmp_path, capsys, n_perm):
         def reject(constant):
             raise AssertionError(f"{constant} is not JSON")
 
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        def compare_json(*argv):
+            assert main(["compare", *argv, "--json", "--n-perm", str(n_perm)]) == 0
+            return json.loads(capsys.readouterr().out, parse_constant=reject)
+
+        # z is L over the exact permutation sd, so one permutation is enough
+        doc = compare_json("gk", "fwd", *_heatmap_args(five_heatmap_dir))
         assert doc["n_perm"] == n_perm
-        if n_perm == 1:
-            assert doc["z_score"] is None
-        else:
-            assert isinstance(doc["z_score"], float)
+        assert isinstance(doc["z_score"], float)
+
+        # on 2x2 rook, "a" has W xc = 0 exactly; its id sorts first, so it is
+        # the fixed side, every relabeling ties at L = 0 and z is undefined
+        paths = []
+        for pid, cells in (("a", [0.375, 0.25, 0.25, 0.125]), ("b", [0.5, 0.25, 0.125, 0.125])):
+            path = tmp_path / f"{pid}.json"
+            path.write_text(json.dumps({"player_id": pid, "rows": 2, "cols": 2,
+                                        "cells": cells, "normalized": True}), encoding="utf-8")
+            paths.append(str(path))
+        for pair in (("a", "b"), ("b", "a")):
+            doc = compare_json(*pair, *paths, "--rows", "2", "--cols", "2", "--scheme", "rook")
+            assert (doc["lee_l"], doc["p_value"], doc["z_score"]) == (0.0, 1.0, None)
 
     def test_unknown_player_fails(self, five_heatmap_dir, capsys):
         assert main(["compare", "gk", "striker",

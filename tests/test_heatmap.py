@@ -118,6 +118,26 @@ class TestParsing:
         assert drops.total == 0 and sum(len(rows) for rows in groups.values()) == n_rows
         assert retained / n_rows <= 32
 
+    def test_peak_memory_close_to_the_rows_returned(self):
+        # interleaved players leave one piece per player in every block; the
+        # parse must not hold every accepted row twice while joining them
+        n_rows, n_players = 200_000, 20
+        rng = np.random.default_rng(6)
+        lines = ["player_id,x,y,value"]
+        lines += [f"p{i % n_players},{x!r},{y!r},{v!r}"
+                  for i, (x, y, v) in enumerate(rng.uniform(0, 100, (n_rows, 3)).tolist())]
+        source = _csv("\n".join(lines) + "\n")
+        del lines
+        tracemalloc.start()
+        try:
+            groups, _ = ps.parse_activity_groups(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(rows.nbytes for rows in groups.values())
+        assert returned == n_rows * 3 * 8
+        assert peak < 1.5 * returned
+
 
     def test_rows_read_before_undecodable_bytes_are_checked_first(self, tmp_path):
         # the bad byte sits past the stream's first 8 KiB chunk, in the same

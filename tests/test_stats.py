@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -225,17 +226,20 @@ class TestPermutationTest:
         assert results[0] == results[1] == results[2]
 
     def test_memory_bounded_in_n_perm(self):
+        # each chunk is counted as it is drawn: nothing grows with n_perm
         w = _queen(14, 20)
         rng = np.random.default_rng(16)
         x = rng.random(w.n)
         y = rng.random(w.n)
-        tracemalloc.start()
-        try:
-            ps.permutation_test(x, y, w, n_perm=99_999, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        peaks = []
+        for n_perm in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                ps.permutation_test(x, y, w, n_perm=n_perm, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
     def test_agrees_with_exhaustive_enumeration_on_nine_cells(self):
         w = _rook(3, 3)
@@ -278,13 +282,24 @@ class TestPermutationTest:
         b = ps.permutation_test(x, y, w, n_perm=999, seed=1)
         assert a.n_ge != b.n_ge
 
-    def test_single_permutation_z_is_nan(self):
+    def test_z_is_nan_only_when_the_double_lag_is_constant(self):
         w = _rook(2, 2)
         rng = np.random.default_rng(1)
         res = ps.permutation_test(rng.normal(size=4), rng.normal(size=4), w,
                                   n_perm=1, seed=0)
-        assert math.isnan(res.z_score)
+        assert isinstance(res.z_score, float) and math.isfinite(res.z_score)
         assert res.p_value in (0.5, 1.0)
+        # these dyadic cells have W xc = 0 exactly, so with them fixed u = 0
+        # and every relabeling of the other side ties with L = 0
+        flat_lag = np.array([0.375, 0.25, 0.25, 0.125])
+        other = np.array([0.5, 0.25, 0.125, 0.125])
+        assert not w.lag(flat_lag - flat_lag.mean()).any()
+        for n_perm in (1, 999):
+            res = ps.permutation_test(flat_lag, other, w, n_perm=n_perm, seed=0)
+            assert (res.statistic, res.n_ge, res.p_value) == (0.0, n_perm, 1.0)
+            assert math.isnan(res.z_score)
+            # permuted instead of fixed, it leaves u varying: z = L / sd = 0
+            assert ps.permutation_test(other, flat_lag, w, n_perm=n_perm).z_score == 0.0
 
     def test_zero_permutations_rejected(self):
         w = _rook(2, 2)
@@ -292,11 +307,71 @@ class TestPermutationTest:
             ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=0)
 
 
+def _permutation_variance(x, y, w_dense) -> float:
+    """Exact variance of Lee's L over uniform relabelings of y, from dense W.
+
+    L(pi) = yc[pi] . u with u = scale * W W xc / (|xc| |yc|), so its variance
+    is sum (u - ubar)^2 * sum yc^2 / (n - 1) (Hoeffding 1951); its mean is 0.
+    """
+    n = x.size
+    xc, yc = x - x.mean(), y - y.mean()
+    scale = n / float((w_dense.sum(axis=1) ** 2).sum())
+    u = scale * (w_dense @ (w_dense @ xc)) / math.sqrt(float(xc @ xc) * float(yc @ yc))
+    uc = u - u.mean()
+    return float(uc @ uc) * float(yc @ yc) / (n - 1)
+
+
+class TestPermutationMoments:
+    """z is L over the exact permutation sd, and the counts are of the draws."""
+
+    @pytest.mark.parametrize("rows,cols,scheme", [(2, 2, "rook"), (2, 3, "queen"), (2, 4, "rook")])
+    def test_every_arrangement(self, rows, cols, scheme):
+        w = ps.adjacency(ps.build_grid(rows, cols), scheme)
+        rng = np.random.default_rng(rows * cols)
+        x, y = rng.random(w.n), rng.random(w.n)
+        perms = np.array(list(permutations(range(w.n))))
+        sims = lee_batch_dense(x, y[perms], w.to_dense())
+        var = float(sims.var())
+        assert abs(float(sims.mean())) <= 1e-12 * math.sqrt(var)
+        assert var == pytest.approx(_permutation_variance(x, y, w.to_dense()), rel=1e-12)
+        res = ps.exact_permutation_test(x, y, w)
+        assert res.z_score == pytest.approx(res.statistic / math.sqrt(var), rel=1e-12)
+
+    @pytest.mark.parametrize("rows,cols,scheme,n_perm", [
+        (4, 4, "queen", 20_000),
+        (6, 9, "rook", 24_000),
+    ])
+    def test_regenerated_stream(self, rows, cols, scheme, n_perm):
+        # the stream spans many chunks; rebuild it in one piece and score it
+        # through the dense path
+        w = ps.adjacency(ps.build_grid(rows, cols), scheme)
+        rng = np.random.default_rng(rows * cols)
+        x, y = rng.random(w.n), rng.random(w.n)
+        seed = 11
+        res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
+        perms = np.tile(np.arange(w.n), (n_perm, 1))
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        gen.permuted(perms, axis=1, out=perms)
+        sims = lee_batch_dense(x, y[perms], w.to_dense())
+
+        sigma2 = _permutation_variance(x, y, w.to_dense())
+        assert abs(float(sims.mean())) <= 4.0 * math.sqrt(sigma2 / n_perm)
+        # the mean is known to be 0, so the variance is estimated as mean L^2
+        var = float(np.mean(sims ** 2))
+        se_var = math.sqrt((float(np.mean(sims ** 4)) - var ** 2) / n_perm)
+        assert abs(var - sigma2) <= 4.0 * se_var
+        assert res.z_score == pytest.approx(res.statistic / math.sqrt(sigma2), rel=1e-12)
+
+        tol = 1e-9 * (1.0 + abs(res.statistic))
+        assert (int(np.count_nonzero(sims > res.statistic + tol)) <= res.n_ge
+                <= int(np.count_nonzero(sims >= res.statistic - tol)))
+
+
 class TestPreparedCells:
     """Records made once per player give the same results as raw cell vectors."""
 
     @pytest.mark.parametrize("rows,cols,scheme,n_perm", [
-        (2, 2, "rook", 1),       # one permutation: z is NaN
+        (2, 2, "rook", 1),       # one permutation: z is defined all the same
         (3, 4, "queen", 499),
         (14, 20, "queen", 99),
         (7, 9, "rook", 1500),    # the stream spans two chunks
@@ -350,7 +425,14 @@ class TestPreparedCells:
             perms = np.tile(np.arange(w.n), (n_perm, 1))
             gen = np.random.Generator(np.random.Philox(key=seed))
             gen.permuted(perms, axis=1, out=perms)
-            want = stats._summarize(l_obs, yc[perms] @ u, n_perm, seed)
+            # ties count, with a relative tolerance
+            n_ge = int(np.count_nonzero(yc[perms] @ u >= l_obs - 1e-10 * max(1.0, abs(l_obs))))
+            # the exact permutation sd of L
+            uc = u - u.mean()
+            sd = math.sqrt(float(uc @ uc) / (w.n - 1)) * math.sqrt(float(yc @ yc))
+            want = stats.TestResult(statistic=l_obs, n_perm=n_perm, n_ge=n_ge,
+                                    p_value=(n_ge + 1) / (n_perm + 1), z_score=l_obs / sd,
+                                    seed=seed)
             got = ps.permutation_test(ps.prepare_cells(x, w), ps.prepare_cells(y, w), w,
                                       n_perm=n_perm, seed=seed)
             assert repr(got) == repr(want)
