@@ -171,9 +171,9 @@ def _load_heatmaps(paths, cfg: RunConfig):
             h = heatmap_from_json(doc, extent=DEFAULT_EXTENT)
         except (PitchsimError, ValueError) as exc:
             raise PitchsimError(f"{path}: {exc}") from exc
-        if (h.grid_ref[0], h.grid_ref[1]) != (cfg.rows, cfg.cols):
+        if (h.grid.rows, h.grid.cols) != (cfg.rows, cfg.cols):
             raise PitchsimError(
-                f"{path}: heatmap grid {h.grid_ref[0]}x{h.grid_ref[1]} does not match "
+                f"{path}: heatmap grid {h.grid.rows}x{h.grid.cols} does not match "
                 f"configured {cfg.rows}x{cfg.cols}"
             )
         if h.player_id in seen:
@@ -218,8 +218,7 @@ def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
     for pid in (player_a, player_b):
         if pid not in heatmaps:
             raise UnknownPlayer(f"player {pid!r} not found; have {sorted(heatmaps)}")
-    grid = build_grid(cfg.rows, cfg.cols)
-    w = adjacency(grid, cfg.scheme)
+    w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
     res = rm.pair_test(heatmaps[player_a], heatmaps[player_b], w,
                        n_perm=cfg.n_perm, master_seed=cfg.seed)
     if as_json:
@@ -247,8 +246,7 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
     heatmaps = _load_heatmaps(heatmap_paths, cfg)
     if len(heatmaps) < 2:
         raise PitchsimError("cluster needs at least 2 players")
-    grid = build_grid(cfg.rows, cfg.cols)
-    w = adjacency(grid, cfg.scheme)
+    w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
 
     floor = 1.0 / (cfg.n_perm + 1)
     if math.isclose(cfg.cut, floor):
@@ -323,7 +321,7 @@ def main(argv=None) -> int:
         if args.command == "cluster":
             return cmd_cluster(cfg, args.heatmap_paths)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (PitchsimError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PitchsimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,8 @@ class PitchGrid:
 
     ``rows`` counts cells across the field width (y axis), ``cols`` across
     the field length (x axis). Cell ``(r, c)`` has flat index ``r * cols + c``.
-    Both counts must be at least 2.
+    Both counts must be at least 2. ``extent`` is stored as a tuple of
+    floats, so two grids are equal exactly when they describe one lattice.
     """
 
     rows: int
@@ -38,6 +39,7 @@ class PitchGrid:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise InvalidDimension(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
+        object.__setattr__(self, "extent", tuple(float(v) for v in self.extent))
         xmin, ymin, xmax, ymax = self.extent
         if not (xmax > xmin and ymax > ymin):
             raise InvalidDimension(f"degenerate extent {self.extent!r}")
@@ -55,11 +57,6 @@ class PitchGrid:
     def cell_height(self) -> float:
         _, ymin, _, ymax = self.extent
         return (ymax - ymin) / self.rows
-
-    @property
-    def key(self) -> tuple:
-        """Hashable grid identity used by heatmaps referencing this grid."""
-        return (self.rows, self.cols, tuple(float(v) for v in self.extent))
 
     def cell_index(self, row: int, col: int) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -96,23 +93,28 @@ class WeightsMatrix:
     a neighbour table: a C-contiguous ``(width, n)`` intp array whose column
     ``i`` lists cell ``i``'s neighbours in ascending order, padded with
     ``n``. ``width`` is the largest neighbour count, at most 8 on a lattice.
+
+    ``grid`` is the :class:`PitchGrid` that :func:`adjacency` built the
+    weights on, or None for :meth:`from_pairs` weights. The constructor
+    takes the entries those two build as given: distinct, symmetric,
+    off-diagonal ``(rows, cols)`` pairs in row-major order.
     """
 
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"weights matrix must be square, got {m.shape}")
-        if np.diagonal(m).any():
-            raise ValueError("weights matrix must have a zero diagonal")
-        if not np.all((m == 0.0) | (m == 1.0)):
-            raise ValueError("weights must be 0 or 1")
-        if not np.array_equal(m, m.T):
-            raise ValueError("weights must be symmetric")
-        self._index(m.shape[0], *np.nonzero(m))
+    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, grid=None):
+        counts = np.bincount(rows, minlength=n)
+        table = np.full((int(counts.max(initial=0)), n), n, dtype=np.intp)
+        # rank of each entry within its row
+        table[np.arange(rows.size) - (np.cumsum(counts) - counts)[rows], rows] = cols
+        table.flags.writeable = False
+        row_sums = counts.astype(np.float64)
+        row_sums.flags.writeable = False
+        self._table = table
+        self._row_sums = row_sums
+        self.grid = grid
 
     @classmethod
     def from_pairs(cls, n: int, pairs):
-        """Build from an iterable of (i, j) neighbour pairs.
+        """Build from an iterable of (i, j) neighbour pairs, on no grid.
 
         Each pair is stored symmetrically; duplicates collapse to one 1. No
         n-by-n array is built, so memory follows the pair count.
@@ -127,21 +129,7 @@ class WeightsMatrix:
         # one key per directed entry, row-major: sorted keys give each row's
         # neighbours in ascending order
         keys = np.unique(np.concatenate((p[:, 0] * n + p[:, 1], p[:, 1] * n + p[:, 0])))
-        w = cls.__new__(cls)
-        w._index(n, *np.divmod(keys, n))
-        return w
-
-    def _index(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Neighbour table from distinct (row, col) entries in row-major order."""
-        counts = np.bincount(rows, minlength=n)
-        table = np.full((int(counts.max(initial=0)), n), n, dtype=np.intp)
-        # rank of each entry within its row
-        table[np.arange(rows.size) - (np.cumsum(counts) - counts)[rows], rows] = cols
-        table.flags.writeable = False
-        row_sums = counts.astype(np.float64)
-        row_sums.flags.writeable = False
-        self._table = table
-        self._row_sums = row_sums
+        return cls(n, *np.divmod(keys, n))
 
     @property
     def n(self) -> int:
@@ -154,9 +142,6 @@ class WeightsMatrix:
     def row_sums(self) -> np.ndarray:
         """Neighbour count of each cell as float64; a read-only array."""
         return self._row_sums
-
-    def total(self) -> float:
-        return float(self.nnz)
 
     def lag(self, values: np.ndarray) -> np.ndarray:
         """Spatial lag: for each cell i, sum_j w_ij * values[j].
@@ -195,29 +180,22 @@ def build_grid(rows: int, cols: int, extent=DEFAULT_EXTENT) -> PitchGrid:
     InvalidDimension
         If rows < 2, cols < 2, or the extent has nonpositive width/height.
     """
-    return PitchGrid(rows=rows, cols=cols, extent=tuple(float(v) for v in extent))
+    return PitchGrid(rows, cols, extent)
 
 
 def adjacency(grid: PitchGrid, scheme: str = "queen") -> WeightsMatrix:
-    """Binary contiguity weights for the grid.
+    """Binary contiguity weights for the grid, recording it as their ``grid``.
 
     ``rook`` joins cells sharing an edge; ``queen`` additionally joins cells
     sharing only a corner. The result is symmetric with zero diagonal.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    rows, cols = grid.rows, grid.cols
-    pairs = []
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            if c + 1 < cols:
-                pairs.append((i, i + 1))
-            if r + 1 < rows:
-                pairs.append((i, i + cols))
-                if scheme == "queen":
-                    if c + 1 < cols:
-                        pairs.append((i, i + cols + 1))
-                    if c - 1 >= 0:
-                        pairs.append((i, i + cols - 1))
-    return WeightsMatrix.from_pairs(grid.n, pairs)
+    # lattice steps in ascending order of their flat offset dr * cols + dc
+    # (|dc| < cols), so each cell's neighbours come out in ascending order
+    dr, dc = np.array([(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1)
+                       if (r or c) and (scheme == "queen" or not (r and c))]).T
+    row, col = np.divmod(np.arange(grid.n), grid.cols)
+    nr, nc = row[:, None] + dr, col[:, None] + dc
+    cells, step = np.nonzero((0 <= nr) & (nr < grid.rows) & (0 <= nc) & (nc < grid.cols))
+    return WeightsMatrix(grid.n, cells, (nr * grid.cols + nc)[cells, step], grid)

@@ -55,13 +55,13 @@ _HEATMAP_FIELDS = {"player_id": str, "rows": int, "cols": int, "cells": list, "n
 class Heatmap:
     """Per-player activity over the cells of a shared grid.
 
-    ``grid_ref`` is the :attr:`PitchGrid.key` of the grid the cells refer to.
-    ``cells`` is a length-n float vector in flat-index order. When
-    ``normalized`` is true the cells sum to 1 and read as time proportions.
+    ``grid`` is the :class:`PitchGrid` the cells lie on. ``cells`` is a
+    length-n float vector in flat-index order. When ``normalized`` is true
+    the cells sum to 1 and read as time proportions.
     """
 
     player_id: str
-    grid_ref: tuple
+    grid: PitchGrid
     cells: np.ndarray
     normalized: bool = False
 
@@ -81,7 +81,7 @@ class DropCounts:
 def _open_text(source):
     if hasattr(source, "read"):
         return source, False
-    return open(source, "r", encoding="utf-8", newline=""), True
+    return open(source, "r", encoding="utf-8-sig", newline=""), True
 
 
 class _Rows:
@@ -215,8 +215,9 @@ def _lines_then_raise(lines, exc):
 def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     """Parse a combined activity CSV, grouping rows by player id.
 
-    ``source`` is a path or an open text stream with header
-    ``player_id,x,y,value``. Rows outside the extent or with a negative
+    ``source`` is a path to UTF-8 text, with or without the byte order mark
+    of a spreadsheet's "CSV UTF-8" export, or an open text stream; the header
+    is ``player_id,x,y,value``. Rows outside the extent or with a negative
     value are dropped and counted; non-numeric fields abort the parse.
 
     The body is read in blocks of ``_BLOCK_LINES`` lines, each parsed by one
@@ -343,7 +344,7 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
         ky = _axis_factor(py[chunk], cy, a)
         ky *= (value[chunk] * norm)[:, None]
         cells += ky.T @ kx
-    return Heatmap(player_id=player_id, grid_ref=grid.key, cells=cells.ravel(), normalized=False)
+    return Heatmap(player_id=player_id, grid=grid, cells=cells.ravel(), normalized=False)
 
 
 def normalize(h: Heatmap) -> Heatmap:
@@ -363,11 +364,10 @@ def normalize(h: Heatmap) -> Heatmap:
 
 
 def heatmap_to_json(h: Heatmap) -> dict:
-    rows, cols, _ = h.grid_ref
     return {
         "player_id": h.player_id,
-        "rows": rows,
-        "cols": cols,
+        "rows": h.grid.rows,
+        "cols": h.grid.cols,
         "cells": np.asarray(h.cells, dtype=np.float64).tolist(),
         "normalized": bool(h.normalized),
     }
@@ -419,7 +419,7 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
         raise ValueError(f"heatmap {doc.get('player_id')!r} has invalid cell values")
     return Heatmap(
         player_id=doc["player_id"],
-        grid_ref=grid.key,
+        grid=grid,
         cells=cells,
         normalized=doc["normalized"],
     )

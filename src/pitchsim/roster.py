@@ -82,16 +82,12 @@ class _Player:
 
 def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[_Player]:
     """Each player's half of every pair test on ``w``; the one place the
-    per-player rules (one grid of ``w.n`` cells, normalized, not constant) are checked."""
-    rows, cols, _ = ref = heatmaps[0].grid_ref
-    if w.n != rows * cols:
-        raise GridMismatch(f"weights have {w.n} cells, heatmaps have {rows * cols}")
+    per-player rules (on the grid ``w`` was built on, normalized, not constant) are checked."""
     players = []
     for h in heatmaps:
-        if h.grid_ref != ref:
-            raise GridMismatch(
-                f"player {h.player_id!r} uses grid {h.grid_ref}, others use {ref}"
-            )
+        if h.grid != w.grid:
+            raise GridMismatch(f"player {h.player_id!r} is on {h.grid}, "
+                               f"the weights on {w.grid or 'no grid'}")
         if not h.normalized:
             raise ValueError(f"heatmap {h.player_id!r} is not normalized")
         try:
@@ -117,8 +113,9 @@ def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
     The heatmap whose ``player_id`` sorts first is held fixed and the other
     one is permuted, with the stream seeded by :func:`pair_seed`. The result
     is therefore the same for (a, b) and (b, a), and in any roster that
-    holds the pair. It refuses the same heatmaps as :func:`compute_matrix`,
-    with the same errors.
+    holds the pair. ``w`` must come from :func:`~pitchsim.grid.adjacency` on
+    the heatmaps' own grid. It refuses the same heatmaps and weights as
+    :func:`compute_matrix`, with the same errors.
     """
     return _test(*_prepare([a, b], w), n_perm, master_seed)
 
@@ -163,7 +160,8 @@ def compute_matrix(
     Raises
     ------
     GridMismatch
-        If the heatmaps do not all share one grid matching ``w``.
+        If a heatmap is not on the grid ``w`` was built on by
+        :func:`~pitchsim.grid.adjacency`; ``from_pairs`` weights are on none.
     ZeroVariance
         Naming the first player whose heatmap is constant.
     ValueError

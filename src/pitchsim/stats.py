@@ -122,12 +122,11 @@ def morans_i(x, w: WeightsMatrix) -> float:
         If the weights matrix has no nonzero entries.
     """
     x = _as_vector(x, w.n, "x")
-    s0 = w.total()
-    if s0 <= 0.0:
+    if w.nnz == 0:
         raise EmptyWeights("weights matrix has no nonzero entries")
     xc, ssx = _center(x, "x")
     num = float(xc @ w.lag(xc))
-    return (w.n / s0) * (num / ssx)
+    return (w.n / w.nnz) * (num / ssx)
 
 
 @dataclass(frozen=True, eq=False)

@@ -153,6 +153,19 @@ class TestParsing:
         with pytest.raises(UnicodeDecodeError):
             ps.parse_activity_groups(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # the "CSV UTF-8" export of common spreadsheet tools starts with one
+        text = "player_id,x,y,value\np1,50,50,3.0\np2,150,50,1.0\np1,40,40,-2\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfplayer_id,")
+        groups, drops = ps.parse_activity_groups(plain)
+        got, got_drops = ps.parse_activity_groups(marked)
+        assert got_drops == drops
+        assert list(got) == list(groups)
+        assert all(np.array_equal(got[pid], groups[pid]) for pid in groups)
+
     def test_block_of_blank_lines_does_not_warn(self):
         text = "player_id,x,y,value\np1,1,2,3\n" + "\n" * (2 * heatmap._BLOCK_LINES) + "p1,4,5,6\n"
         with warnings.catch_warnings():
@@ -434,7 +447,7 @@ class TestRasterize:
 class TestNormalize:
     def test_quarter_quarter_half(self):
         g = ps.build_grid(2, 2)
-        h = ps.Heatmap(player_id="p", grid_ref=g.key,
+        h = ps.Heatmap(player_id="p", grid=g,
                        cells=np.array([2.0, 2.0, 4.0, 0.0]))
         out = ps.normalize(h)
         assert np.array_equal(out.cells, np.array([0.25, 0.25, 0.5, 0.0]))
@@ -449,13 +462,13 @@ class TestNormalize:
 
     def test_zero_mass_rejected(self):
         g = ps.build_grid(2, 2)
-        h = ps.Heatmap(player_id="p", grid_ref=g.key, cells=np.zeros(4))
+        h = ps.Heatmap(player_id="p", grid=g, cells=np.zeros(4))
         with pytest.raises(ZeroMass):
             ps.normalize(h)
 
     def test_nan_mass_rejected(self):
         g = ps.build_grid(2, 2)
-        h = ps.Heatmap(player_id="p", grid_ref=g.key,
+        h = ps.Heatmap(player_id="p", grid=g,
                        cells=np.array([1.0, math.nan, 0.0, 0.0]))
         with pytest.raises(ZeroMass):
             ps.normalize(h)
@@ -476,7 +489,7 @@ class TestHeatmapJson:
         assert doc["rows"] == 3 and doc["cols"] == 4 and doc["normalized"] is True
         back = ps.heatmap_from_json(doc)
         assert back.player_id == "p9"
-        assert back.grid_ref == h.grid_ref
+        assert back.grid == h.grid
         assert np.array_equal(back.cells, h.cells)
 
     def test_wrong_cell_count_rejected(self):

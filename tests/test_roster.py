@@ -184,7 +184,7 @@ class TestMatrixStructure:
     def test_identical_players_all_entries_at_floor(self, grid, weights):
         rng = np.random.default_rng(4)
         a = blob_heatmap(rng, "a", 40.0, 40.0, 9.0, grid)
-        b = ps.Heatmap(player_id="b", grid_ref=a.grid_ref, cells=a.cells,
+        b = ps.Heatmap(player_id="b", grid=a.grid, cells=a.cells,
                        normalized=True)
         m = ps.compute_matrix([a, b], weights, n_perm=N_PERM, master_seed=MASTER_SEED)
         assert np.all(m.pseudo_distance == 1 / (N_PERM + 1))
@@ -228,18 +228,22 @@ class TestValidation:
         with pytest.raises(GridMismatch):
             ps.compute_matrix([a, b], weights, n_perm=9)
 
-    def test_weights_grid_mismatch_rejected(self, grid):
+    def test_weights_grid_mismatch_rejected(self, grid, weights):
         rng = np.random.default_rng(6)
         a = blob_heatmap(rng, "a", 40.0, 40.0, 9.0, grid)
         b = blob_heatmap(rng, "b", 60.0, 60.0, 9.0, grid)
-        small = ps.adjacency(ps.build_grid(7, 10), "queen")
-        with pytest.raises(GridMismatch, match="weights"):
-            ps.compute_matrix([a, b], small, n_perm=9)
+        # the transposed lattice and the same neighbours given as pairs both
+        # have the heatmaps' cell count
+        for w in (ps.adjacency(ps.build_grid(7, 10), "queen"),
+                  ps.adjacency(ps.build_grid(grid.cols, grid.rows), "rook"),
+                  ps.WeightsMatrix.from_pairs(grid.n, np.argwhere(weights.to_dense()))):
+            with pytest.raises(GridMismatch, match="weights"):
+                ps.compute_matrix([a, b], w, n_perm=9)
 
     def test_constant_heatmap_rejected_naming_player(self, grid, weights):
         rng = np.random.default_rng(6)
         a = blob_heatmap(rng, "a", 40.0, 40.0, 9.0, grid)
-        flat = ps.Heatmap(player_id="flat", grid_ref=grid.key,
+        flat = ps.Heatmap(player_id="flat", grid=grid,
                           cells=np.full(grid.n, 1.0 / grid.n), normalized=True)
         with pytest.raises(ZeroVariance, match="flat"):
             ps.compute_matrix([a, flat], weights, n_perm=9)
@@ -278,6 +282,8 @@ class TestPairTestValidation:
     @pytest.mark.parametrize("case, error", [
         ("transposed grid", GridMismatch),
         ("weights of another grid", GridMismatch),
+        ("weights of the transposed grid", GridMismatch),
+        ("weights from pairs", GridMismatch),
         ("unnormalized", ValueError),
         ("constant", ZeroVariance),
     ])
@@ -291,10 +297,14 @@ class TestPairTestValidation:
                              ps.build_grid(grid.cols, grid.rows))
         elif case == "weights of another grid":
             w = ps.adjacency(ps.build_grid(7, 10), "queen")
+        elif case == "weights of the transposed grid":
+            w = ps.adjacency(ps.build_grid(grid.cols, grid.rows), "queen")
+        elif case == "weights from pairs":
+            w = ps.WeightsMatrix.from_pairs(grid.n, np.argwhere(weights.to_dense()))
         elif case == "unnormalized":
             b = ps.rasterize([(60.0, 60.0, 1.0)], grid, 5.0, player_id="b")
         else:
-            b = ps.Heatmap(player_id="b", grid_ref=grid.key,
+            b = ps.Heatmap(player_id="b", grid=grid,
                            cells=np.full(grid.n, 1.0 / grid.n), normalized=True)
         got = _refusal(lambda: ps.pair_test(a, b, w, n_perm=9))
         assert got == _refusal(lambda: ps.compute_matrix([a, b], w, n_perm=9))
