@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class PitchGrid:
 
     ``rows`` counts cells across the field width (y axis), ``cols`` across
     the field length (x axis). Cell ``(r, c)`` has flat index ``r * cols + c``.
-    Both counts must be at least 2. ``extent`` is stored as a tuple of
-    floats, so two grids are equal exactly when they describe one lattice.
+    Both are ints of at least 2. ``extent`` is stored as a tuple of floats,
+    so two grids are equal exactly when they describe one lattice.
     """
 
     rows: int
@@ -37,6 +38,12 @@ class PitchGrid:
     extent: tuple[float, float, float, float] = DEFAULT_EXTENT
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "rows", operator.index(self.rows))
+            object.__setattr__(self, "cols", operator.index(self.cols))
+        except TypeError:
+            raise InvalidDimension(
+                f"grid sizes must be ints, got {self.rows!r}x{self.cols!r}") from None
         if self.rows < 2 or self.cols < 2:
             raise InvalidDimension(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
         object.__setattr__(self, "extent", tuple(float(v) for v in self.extent))
@@ -178,7 +185,7 @@ def build_grid(rows: int, cols: int, extent=DEFAULT_EXTENT) -> PitchGrid:
     Raises
     ------
     InvalidDimension
-        If rows < 2, cols < 2, or the extent has nonpositive width/height.
+        If rows or cols is not an int >= 2, or the extent has nonpositive width/height.
     """
     return PitchGrid(rows, cols, extent)
 

@@ -7,8 +7,9 @@ the statistic recomputed each time, and the one-sided p-value taken as
 is positive spatial cross-correlation; negative association yields p near 1.
 
 Ties count as >= observed, with a tolerance: ``L_perm >= L_obs - 1e-10 *
-max(1, |L_obs|)``. Permutations come from one Philox stream in fixed-size
-chunks, counted as drawn, so memory per test is O(chunk * n) for any n_perm.
+max(1, |L_obs|)``. Permutations come from one Philox stream in chunks of
+relabeled cells, drawn into one (chunk, n) float64 buffer per test and counted
+as drawn, so memory per test is O(chunk * n) for any n_perm.
 """
 
 from __future__ import annotations
@@ -252,10 +253,11 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
         raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
     x, y = _prepared(x, y, w)
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    # chunks continue one stream, so the draws and n_ge ignore the chunk size
+    # chunks continue one stream, so the draws ignore the chunk size; a
+    # shuffle's swaps ignore the values moved, so each row is y.vc[pi] exactly
     rows = min(_PERM_CHUNK, n_perm)
-    perms = np.empty((rows, w.n), dtype=np.intp)
-    chunks = (gen.permuted(np.broadcast_to(np.arange(w.n), (m, w.n)), axis=1, out=perms[:m])
+    buf = np.empty((rows, w.n))
+    chunks = (gen.permuted(np.broadcast_to(y.vc, (m, w.n)), axis=1, out=buf[:m])
               for m in (min(rows, n_perm - start) for start in range(0, n_perm, rows)))
     return _score(x, y, chunks, n_perm, int(seed))
 
@@ -279,16 +281,16 @@ def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
     x, y = _prepared(x, y, w)
     perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
     # the identity is enumerated first; it is the observed arrangement
-    return _score(x, y, [perms[1:]], perms.shape[0] - 1, 0)
+    return _score(x, y, [y.vc[perms[1:]]], perms.shape[0] - 1, 0)
 
 
 def _score(x: PreparedCells, y: PreparedCells, chunks, n_perm: int, seed: int) -> TestResult:
-    """Test result from relabelings of ``y`` in chunks (one per row), counted
-    as drawn; the one place ties are counted. L(pi) has mean 0 and variance
-    sum (u - mean u)^2 * sum y.vc^2 / (n - 1) exactly (Hoeffding 1951)."""
+    """Test result from chunks of relabeled ``y.vc`` (one per row), counted as
+    drawn; the one place ties are counted. L(pi) = y.vc[pi] @ u has mean 0 and
+    variance sum (u - mean u)^2 * sum y.vc^2 / (n - 1) exactly (Hoeffding 1951)."""
     l_obs, u = _observed(x, y)
     cut = l_obs - _TIE_RTOL * max(1.0, abs(l_obs))
-    n_ge = sum(int(np.count_nonzero(y.vc[p] @ u >= cut)) for p in chunks)
+    n_ge = sum(int(np.count_nonzero(c @ u >= cut)) for c in chunks)
     uc = u - u.mean()
     sd = math.sqrt(float(uc @ uc) / (u.shape[0] - 1)) * y.norm
     return TestResult(

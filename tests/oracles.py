@@ -90,6 +90,27 @@ def exhaustive_p(x, y, w_dense) -> tuple[float, float]:
     return count / math.factorial(n), float(l_obs)
 
 
+def indexed_stream_scores(x, y, n_perm: int, seed: int, chunk: int) -> np.ndarray:
+    """Every permuted score ``y[pi] @ x`` of a Philox-keyed stream, in draw order.
+
+    The index path: each chunk of at most ``chunk`` rows permutes a row of
+    cell indices per relabeling, gathers ``y`` by it, and takes the chunk's
+    matrix-vector product with ``x``. ``y`` is the relabeled side's centred
+    cells and ``x`` the fixed side's scaled double lag, so the scores are
+    L(pi).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    scores = []
+    for start in range(0, n_perm, chunk):
+        m = min(chunk, n_perm - start)
+        perms = gen.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+        scores.append(y[perms] @ x)
+    return np.concatenate(scores)
+
+
 def grid_dense_rook(rows: int, cols: int) -> np.ndarray:
     """Binary rook adjacency on a row-major rows x cols lattice, dense."""
     n = rows * cols

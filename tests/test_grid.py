@@ -38,6 +38,20 @@ class TestBuildGrid:
             with pytest.raises(InvalidDimension, match="at least 2x2, got 5x1"):
                 make(5, 1)
 
+    @pytest.mark.parametrize("rows,cols,bad", [
+        (3.5, 4, "3.5"), (4, 5.0, "5.0"), ("4", 5, "'4'"), (None, 5, "None"),
+        (4, np.float64(6), "6"),
+    ])
+    def test_non_integer_dimension_rejected_naming_it(self, rows, cols, bad):
+        for make in (ps.build_grid, ps.PitchGrid):
+            with pytest.raises(InvalidDimension, match=f"must be ints, got .*{bad}"):
+                make(rows, cols)
+
+    def test_integer_likes_are_stored_as_python_ints(self):
+        g = ps.build_grid(np.int64(3), np.uint8(4))
+        assert (type(g.rows), type(g.cols), type(g.n)) == (int, int, int)
+        assert g == ps.build_grid(3, 4) and g.n == 12
+
     def test_degenerate_extent_rejected(self):
         with pytest.raises(InvalidDimension):
             ps.build_grid(2, 2, extent=(0, 0, 0, 100))

@@ -2,6 +2,7 @@
 
 import csv
 import gc
+import hashlib
 import io
 import json
 import threading
@@ -25,6 +26,7 @@ from rosters import (
     default_grid,
     default_weights,
     five_player_roster,
+    forty_player_roster,
     nine_player_roster,
 )
 
@@ -178,6 +180,24 @@ class TestPreparedPlayers:
         assert len(records) == 5
         assert all(isinstance(r, ps.PreparedCells) for pair in calls for r in pair)
         assert np.array_equal(m.pseudo_distance, five_matrix.pseudo_distance)
+
+
+class TestPinnedCounts:
+    """The p-value bytes of two rosters, recorded from the index-and-gather
+    permutation path. p = (n_ge + 1) / (n_perm + 1), so they pin every n_ge
+    and none of the BLAS rounding in L."""
+
+    @pytest.mark.parametrize("roster_of,scheme,n_perm,digest", [
+        (forty_player_roster, "queen", 99,
+         "b273a91fc3fe90956008fcdb0ed5d3048206f903890da9859017be77a9ba4e86"),
+        (nine_player_roster, "rook", 2500,
+         "b1dd160d411dde65cadb08455359a4c99cedec3f8c7dd7d4f83a9eb4a1c59c9c"),
+    ])
+    def test_pseudo_distance_bytes(self, grid, roster_of, scheme, n_perm, digest):
+        heatmaps, _ = roster_of(grid)
+        m = ps.compute_matrix(heatmaps, ps.adjacency(grid, scheme), n_perm=n_perm,
+                              master_seed=0)
+        assert hashlib.sha256(m.pseudo_distance.tobytes()).hexdigest() == digest
 
 
 class TestMatrixStructure:

@@ -18,7 +18,13 @@ from pitchsim.errors import (
     ZeroVariance,
 )
 
-from oracles import exhaustive_p, lee_batch_dense, lee_formula, moran_formula
+from oracles import (
+    exhaustive_p,
+    indexed_stream_scores,
+    lee_batch_dense,
+    lee_formula,
+    moran_formula,
+)
 
 CHECKER_2X2 = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -241,6 +247,21 @@ class TestPermutationTest:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024
 
+    def test_memory_is_one_chunk_of_cells(self):
+        # one (chunk, n) float64 buffer of relabeled cells; no index array,
+        # no gathered copy
+        w = _queen(14, 20)
+        rng = np.random.default_rng(16)
+        x = rng.random(w.n)
+        y = rng.random(w.n)
+        tracemalloc.start()
+        try:
+            ps.permutation_test(x, y, w, n_perm=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * stats._PERM_CHUNK * w.n * 8
+
     def test_agrees_with_exhaustive_enumeration_on_nine_cells(self):
         w = _rook(3, 3)
         rng = np.random.default_rng(42)
@@ -305,6 +326,43 @@ class TestPermutationTest:
         w = _rook(2, 2)
         with pytest.raises(InsufficientPermutations):
             ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=0)
+
+
+class TestRelabeledCells:
+    """The chunks are the permuted cells themselves, drawn without indices:
+    every L(pi), n_ge and p equals the index-and-gather path bit for bit."""
+
+    @pytest.mark.parametrize("rows,cols,scheme", [
+        (2, 2, "rook"),
+        (3, 5, "queen"),  # a 120-byte row: not a multiple of 64 bytes
+        (7, 9, "rook"),
+        (14, 20, "queen"),
+    ])
+    @pytest.mark.parametrize("n_perm", [1, 1023, 1024, 1025, 2500])
+    def test_scores_equal_the_indexed_stream(self, monkeypatch, rows, cols, scheme, n_perm):
+        w = ps.adjacency(ps.build_grid(rows, cols), scheme)
+        rng = np.random.default_rng(rows * cols + n_perm)
+        x = stats.prepare_cells(rng.random(w.n), w)
+        y = stats.prepare_cells(rng.random(w.n), w, "y")
+        seed = 3 + n_perm
+        score, scores = stats._score, []
+
+        def spy(x, y, chunks, n_perm, seed):
+            _, u = stats._observed(x, y)
+
+            def scored():
+                for c in chunks:
+                    scores.append(c @ u)
+                    yield c
+            return score(x, y, scored(), n_perm, seed)
+
+        monkeypatch.setattr(stats, "_score", spy)
+        res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
+        l_obs, u = stats._observed(x, y)
+        expected = indexed_stream_scores(u, y.vc, n_perm, seed, stats._PERM_CHUNK)
+        assert np.concatenate(scores).tobytes() == expected.tobytes()
+        n_ge = int(np.count_nonzero(expected >= l_obs - stats._TIE_RTOL * max(1.0, abs(l_obs))))
+        assert (res.statistic, res.n_ge, res.p_value) == (l_obs, n_ge, (n_ge + 1) / (n_perm + 1))
 
 
 def _permutation_variance(x, y, w_dense) -> float:
