@@ -84,126 +84,101 @@ def _open_text(source):
     return open(source, "r", encoding="utf-8-sig", newline=""), True
 
 
-class _Rows:
-    """Accepted rows by player id in first-seen order, and the rows dropped.
+def _plain_block(lines: list[str]):
+    """``(ids, xyz, len(lines))`` of whole lines from one ``np.loadtxt`` call, or None.
 
-    Each player's rows are kept as ``(m, 3)`` pieces in file order until
-    :meth:`result` joins them.
+    Returns None when the lines are not one plain record each or hold a field
+    ``np.loadtxt`` refuses or a non-finite one: only :func:`_csv_block` reads
+    those as the CSV format does and reports them with their line number.
     """
+    text = "".join(lines)
+    if not text.strip("\r\n"):
+        return [], (), len(lines)  # blank lines only; np.loadtxt would warn of no data
+    limit = csv.field_size_limit()
+    if '"' in text or (len(text) > limit and max(map(len, lines)) > limit):
+        return None
+    try:
+        rows = np.loadtxt(lines, delimiter=",", dtype=_ROW_DTYPE, comments=None,
+                          quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    xyz = np.column_stack((rows["x"], rows["y"], rows["value"]))
+    if not np.isfinite(xyz).all():
+        return None
+    return rows["player_id"], xyz, len(lines)
 
-    def __init__(self, extent):
-        self.extent = extent
-        self.pieces: dict[str, list[np.ndarray]] = {}
-        self.out_of_extent = 0
-        self.negative = 0
 
-    def add_block(self, lines: list[str]) -> bool:
-        """Add whole lines through one ``np.loadtxt`` call.
+def _csv_block(lines, n, first: int):
+    """Read ``lines`` through ``csv.reader`` up to the first record that ends
+    on or past line ``n``, so a quoted field may run on past line ``n``.
 
-        Returns False, having added nothing, when the lines are not one
-        plain record each or hold a field ``np.loadtxt`` refuses or a
-        non-finite one: only :meth:`add_rows` reads those as the CSV format
-        does and reports them with their line number.
-        """
-        text = "".join(lines)
-        if not text.strip("\r\n"):
-            return True  # blank lines only; np.loadtxt would warn of no data
-        if '"' in text:
-            return False
-        limit = csv.field_size_limit()
-        if len(text) > limit and max(map(len, lines)) > limit:
-            return False
-        try:
-            rows = np.loadtxt(lines, delimiter=",", dtype=_ROW_DTYPE, comments=None,
-                              quotechar=None, ndmin=1)
-        except ValueError:
-            return False
-        xyz = np.column_stack((rows["x"], rows["y"], rows["value"]))
-        if not np.isfinite(xyz).all():
-            return False
-        x, y, value = xyz.T
-        xmin, ymin, xmax, ymax = self.extent
-        negative = value < 0
-        inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
-        kept = np.flatnonzero(inside & ~negative)
-        # a row both negative and out of extent counts as negative
-        n_negative = int(np.count_nonzero(negative))
-        self.negative += n_negative
-        self.out_of_extent += len(xyz) - n_negative - len(kept)
-
-        # strip each distinct raw id once; number the players by first sighting
-        ids = rows["player_id"][kept].tolist()
-        pieces = []  # each player's piece list in self.pieces, by number
-        number_of_raw = {}
-        number_of_pid = {}
-        for raw in dict.fromkeys(ids):
-            pid = raw.strip()
-            number = number_of_pid.get(pid)
-            if number is None:
-                number = number_of_pid[pid] = len(pieces)
-                pieces.append(self.pieces.setdefault(pid, []))
-            number_of_raw[raw] = number
-        numbers = np.fromiter(map(number_of_raw.__getitem__, ids), np.intp, len(ids))
-        # a stable sort keeps each player's rows in file order
-        order = np.argsort(numbers, kind="stable")
-        ends = np.cumsum(np.bincount(numbers, minlength=len(pieces)))
-        # copies, so no piece keeps the whole block's array alive
-        for player, piece in zip(pieces, np.split(xyz[kept[order]], ends[:-1])):
-            player.append(piece.copy())
-        return True
-
-    def add_rows(self, lines, first: int) -> None:
-        """Add every row of ``lines`` through ``csv.reader``, one at a time.
-
-        ``first`` is the line number of the first line. This loop reads any
-        input the CSV format allows and is the reference for
-        :meth:`add_block`.
-        """
-        xmin, ymin, xmax, ymax = self.extent
-        buffers: dict[str, array] = {}  # player id -> flat x, y, value buffer
-        extends = {}  # player id -> bound extend of its buffer
-        isfinite = math.isfinite
-        out_of_extent = 0
-        negative = 0
-        lineno = first - 1
-        try:
-            for lineno, row in enumerate(csv.reader(lines), start=first):
-                if len(row) != 4:
-                    if not row or (len(row) == 1 and not row[0].strip()):
-                        continue
-                    raise MalformedRecord(f"line {lineno}: expected 4 fields, got {len(row)}")
+    ``first`` is the number of the first line; a bad record is reported with
+    the number of its own first line. Returns the records' ids, their x, y,
+    value fields as one flat ``array('d')``, and the number of lines read.
+    """
+    reader = csv.reader(lines)
+    ids, xyz = [], array("d")
+    add_id, add_xyz = ids.append, xyz.extend
+    isfinite = math.isfinite
+    read = 0  # lines before the current record
+    try:
+        for row in reader:
+            if len(row) == 4:
                 try:
-                    x = float(row[1])
-                    y = float(row[2])
-                    value = float(row[3])
+                    x, y, value = fields = float(row[1]), float(row[2]), float(row[3])
                 except ValueError:
-                    raise MalformedRecord(f"line {lineno}: non-numeric field in {row!r}") from None
+                    raise MalformedRecord(
+                        f"line {first + read}: non-numeric field in {row!r}") from None
                 if not (isfinite(x) and isfinite(y) and isfinite(value)):
-                    raise MalformedRecord(f"line {lineno}: non-finite field in {row!r}")
-                if value < 0:
-                    negative += 1
-                    continue
-                if not (xmin <= x <= xmax and ymin <= y <= ymax):
-                    out_of_extent += 1
-                    continue
-                pid = row[0].strip()
-                extend = extends.get(pid)
-                if extend is None:
-                    extend = extends[pid] = buffers.setdefault(pid, array("d")).extend
-                extend((x, y, value))
-        except csv.Error as exc:  # such as a field over csv.field_size_limit()
-            raise MalformedRecord(f"line {lineno + 1}: {exc}") from None
-        for pid, buf in buffers.items():
-            self.pieces.setdefault(pid, []).append(np.frombuffer(buf).reshape(-1, 3))
-        self.out_of_extent += out_of_extent
-        self.negative += negative
+                    raise MalformedRecord(f"line {first + read}: non-finite field in {row!r}")
+                add_id(row[0])
+                add_xyz(fields)
+            elif row and (len(row) > 1 or row[0].strip()):
+                raise MalformedRecord(f"line {first + read}: expected 4 fields, got {len(row)}")
+            read = reader.line_num
+            if read >= n:
+                break
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise MalformedRecord(f"line {first + read}: {exc}") from None
+    return ids, xyz, read
 
-    def result(self) -> tuple[dict[str, np.ndarray], DropCounts]:
-        if not self.pieces:
-            raise EmptyInput("activity CSV has no valid rows")
-        # popping frees each player's pieces once joined, not after the last
-        groups = {pid: np.concatenate(self.pieces.pop(pid)) for pid in list(self.pieces)}
-        return groups, DropCounts(out_of_extent=self.out_of_extent, negative_value=self.negative)
+
+def _add_batch(pieces: dict[str, list[np.ndarray]], extent, ids, xyz) -> tuple[int, int]:
+    """Append a batch's accepted rows to each player's piece list in ``pieces``.
+
+    ``ids`` are the rows' raw player ids and ``xyz`` their x, y, value
+    fields, flat or as ``(m, 3)``. Returns the numbers of rows dropped as out
+    of extent and as negative.
+    """
+    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    x, y, value = xyz.T
+    xmin, ymin, xmax, ymax = extent
+    negative = value < 0
+    inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+    kept = np.flatnonzero(inside & ~negative)
+    # a row both negative and out of extent counts as negative
+    n_negative = int(np.count_nonzero(negative))
+
+    # strip each distinct raw id once; number the players by first sighting
+    ids = np.asarray(ids, dtype=object)[kept].tolist()
+    players = []  # each player's piece list in pieces, by number
+    number_of_raw = {}
+    number_of_pid = {}
+    for raw in dict.fromkeys(ids):
+        pid = raw.strip()
+        number = number_of_pid.get(pid)
+        if number is None:
+            number = number_of_pid[pid] = len(players)
+            players.append(pieces.setdefault(pid, []))
+        number_of_raw[raw] = number
+    numbers = np.fromiter(map(number_of_raw.__getitem__, ids), np.intp, len(ids))
+    # a stable sort keeps each player's rows in file order
+    order = np.argsort(numbers, kind="stable")
+    ends = np.cumsum(np.bincount(numbers, minlength=len(players)))
+    # copies, so no piece keeps the whole batch's array alive
+    for player, piece in zip(players, np.split(xyz[kept[order]], ends[:-1])):
+        player.append(piece.copy())
+    return len(xyz) - n_negative - len(kept), n_negative
 
 
 def _lines_then_raise(lines, exc):
@@ -221,10 +196,14 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     value are dropped and counted; non-numeric fields abort the parse.
 
     The body is read in blocks of ``_BLOCK_LINES`` lines, each parsed by one
-    ``np.loadtxt`` call. From the first block holding a quote, a line over
+    ``np.loadtxt`` call. A block holding a quote, a line over
     ``csv.field_size_limit()``, a non-finite field or anything else
-    ``np.loadtxt`` refuses, a row-by-row ``csv.reader`` loop reads the rest,
-    so the result and every error message are those of that loop alone.
+    ``np.loadtxt`` refuses is read by ``csv.reader`` alone, on past its last
+    line to the end of a quoted field that runs on; the next block goes to
+    ``np.loadtxt`` again. Both readers' rows pass the same drop and grouping
+    step, so the result and every error message are those of one
+    ``csv.reader`` loop over the whole body. Errors name the first physical
+    line of the bad record.
 
     Returns
     -------
@@ -244,8 +223,9 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     """
     stream, owned = _open_text(source)
     try:
+        reader = csv.reader(stream)
         try:
-            header = next(csv.reader(stream))
+            header = next(reader)
         except StopIteration:
             raise EmptyInput("activity CSV has no header") from None
         except csv.Error as exc:
@@ -254,23 +234,28 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
             raise MalformedRecord(
                 f"expected header {','.join(CSV_HEADER)!r}, got {','.join(header)!r}"
             )
-        rows = _Rows(extent)
-        lineno = 2
+        pieces: dict[str, list[np.ndarray]] = {}  # player id -> (m, 3) pieces in file order
+        drops = np.zeros(2, np.int64)  # rows dropped out of extent, negative
+        lineno = reader.line_num + 1
         while True:
             block = []
             try:
                 block.extend(islice(stream, _BLOCK_LINES))
             except (OSError, UnicodeDecodeError) as exc:
                 # the rows read before the failure are checked first; then
-                # add_rows raises exc where the stream did
-                rows.add_rows(_lines_then_raise(block, exc), lineno)
+                # the reader meets exc where the stream raised it
+                _csv_block(_lines_then_raise(block, exc), math.inf, lineno)
             if not block:
                 break
-            if not rows.add_block(block):
-                rows.add_rows(chain(block, stream), lineno)
-                break
-            lineno += len(block)
-        return rows.result()
+            ids, xyz, n = (_plain_block(block)
+                           or _csv_block(chain(block, stream), len(block), lineno))
+            drops += _add_batch(pieces, extent, ids, xyz)
+            lineno += n
+        if not pieces:
+            raise EmptyInput("activity CSV has no valid rows")
+        # popping frees each player's pieces once joined, not after the last
+        groups = {pid: np.concatenate(pieces.pop(pid)) for pid in list(pieces)}
+        return groups, DropCounts(*drops.tolist())
     finally:
         if owned:
             stream.close()

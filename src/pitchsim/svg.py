@@ -69,8 +69,12 @@ def _text(x, y, s, size=12, anchor="start") -> str:
     )
 
 
+# the characters XML 1.0 forbids in a document, each written as U+FFFD
+_NOT_XML = dict.fromkeys([*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+
+
 def _escape(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").translate(_NOT_XML)
 
 
 def heatmap_svg(grid: PitchGrid, cells: np.ndarray, title: str = "") -> str:

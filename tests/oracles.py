@@ -6,8 +6,10 @@ matrices, brute-force enumeration. None of it imports from pitchsim.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -296,3 +298,53 @@ def color_ramp_scalar(t: float) -> str:
             return f"#{r:02x}{g:02x}{b:02x}"
     r, g, b = RAMP_ANCHORS[-1][1]  # NaN compares false with every anchor
     return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def parse_by_rows(lines, first: int, extent, error: type[Exception]):
+    """An activity CSV body read one row at a time through ``csv.reader``.
+
+    ``lines`` is the body after the header and ``first`` the number of its
+    first line. Rows with a negative value, then rows outside ``extent``
+    (xmin, ymin, xmax, ymax) are dropped and counted. Returns each stripped
+    player id's accepted ``(m, 3)`` rows of ``(x, y, value)`` in file order,
+    players in first-seen order, and the (out of extent, negative) counts. A
+    bad record raises ``error`` naming the first physical line it is on.
+    """
+    xmin, ymin, xmax, ymax = extent
+    buffers: dict[str, array] = {}  # player id -> flat x, y, value buffer
+    extends = {}  # player id -> bound extend of its buffer
+    isfinite = math.isfinite
+    out_of_extent = 0
+    negative = 0
+    reader = csv.reader(lines)
+    start = 0  # lines read before the current record
+    try:
+        for row in reader:
+            lineno, start = first + start, reader.line_num
+            if len(row) != 4:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                raise error(f"line {lineno}: expected 4 fields, got {len(row)}")
+            try:
+                x = float(row[1])
+                y = float(row[2])
+                value = float(row[3])
+            except ValueError:
+                raise error(f"line {lineno}: non-numeric field in {row!r}") from None
+            if not (isfinite(x) and isfinite(y) and isfinite(value)):
+                raise error(f"line {lineno}: non-finite field in {row!r}")
+            if value < 0:
+                negative += 1
+                continue
+            if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                out_of_extent += 1
+                continue
+            pid = row[0].strip()
+            extend = extends.get(pid)
+            if extend is None:
+                extend = extends[pid] = buffers.setdefault(pid, array("d")).extend
+            extend((x, y, value))
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise error(f"line {first + start}: {exc}") from None
+    groups = {pid: np.frombuffer(buf).reshape(-1, 3) for pid, buf in buffers.items()}
+    return groups, (out_of_extent, negative)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -136,6 +137,13 @@ class TestRasterize:
         assert "line 2" in lines[0] and "field larger than field limit" in lines[0]
         assert captured.out == ""
         assert not out.exists()
+
+    def test_error_after_a_multiline_id_names_its_physical_line(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text('player_id,x,y,value\n"a\nb",50,50,1\nc,x,1,1\n', encoding="utf-8")
+        assert main(["rasterize", str(path), "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: line 4: non-numeric")
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["rasterize", str(tmp_path / "nope.csv"),
@@ -431,6 +439,23 @@ class TestCluster:
         assert [r[0] for r in rows[1:]] == ids
         assert all(len(r) == 2 and int(r[1]) >= 1 for r in rows[1:])
         assert text.endswith("\nplain," + rows[-1][1] + "\n")
+
+    def test_svgs_stay_well_formed_xml_for_ids_xml_forbids(self, tmp_path):
+        ids = ["a\x01b", "c\x1fd", "e\ufffef", "g\x0bh"]
+        rng = np.random.default_rng(11)
+        rows = [(pid, p) for pid, cx in zip(ids, (20.0, 40.0, 60.0, 80.0))
+                for p in blob_points(rng, cx, 50.0, 8.0, n=30)]
+        _write_csv(tmp_path / "ids.csv", rows)
+        hm, out = tmp_path / "hm", tmp_path / "out"
+        assert main(["rasterize", str(tmp_path / "ids.csv"), "--out", str(hm)]) == 0
+        heatmaps = [str(hm / f"heatmap_{s}.json") for s in ("a_b", "c_d", "e_f", "g_h")]
+        assert main(["cluster", *heatmaps, "--n-perm", "99", "--out", str(out)]) == 0
+        svgs = sorted(hm.glob("*.svg")) + sorted(out.glob("*.svg"))
+        assert len(svgs) == len(ids) + 3
+        for path in svgs:
+            minidom.parse(str(path))  # raises ExpatError when not well-formed
+        title = minidom.parse(str(hm / "heatmap_a_b.svg")).getElementsByTagName("text")[0]
+        assert title.firstChild.data == "a\ufffdb"
 
     def test_grid_mismatch_fails(self, tmp_path, capsys):
         paths = _five_player_csvs(tmp_path)

@@ -25,7 +25,7 @@ from pitchsim.errors import (
     ZeroMass,
 )
 
-from oracles import kernel_sum_direct
+from oracles import kernel_sum_direct, parse_by_rows
 
 
 def _csv(text: str) -> io.StringIO:
@@ -181,14 +181,27 @@ class TestParsing:
         with pytest.raises(MalformedRecord, match=f"^line {line}: field larger than field limit"):
             ps.parse_activity_groups(_csv(text))
 
+    @pytest.mark.parametrize("text, line", [
+        ('player_id,x,y,value\n"a\nb",50,50,1\nc,x,1,1\n', 4),
+        ('"player_id\n",x,y,value\nc,x,1,1\n', 3),
+        (f'player_id,x,y,value\n"a\r\nb",50,50,1\nc,1,2\n', 4),
+        (f'player_id,x,y,value\n"a\nb",50,50,1\n"{"a" * 200_000}",1,2,3\n', 4),
+    ], ids=["row-after-field", "two-line-header", "field-count", "csv-error"])
+    def test_error_names_the_first_physical_line_of_its_record(self, text, line):
+        # a quoted field holding a newline makes records and lines differ
+        with pytest.raises(MalformedRecord, match=f"^line {line}: "):
+            ps.parse_activity_groups(_csv(text))
+
 
 def _parse_by_rows(text, newline):
     """The row loop alone over the whole body: the reference for the parse."""
     stream = io.StringIO(text, newline=newline)
     next(stream)  # the header, one plain line in every generated body
-    rows = heatmap._Rows(ps.DEFAULT_EXTENT)
-    rows.add_rows(stream, 2)
-    return rows.result()
+    groups, (out_of_extent, negative) = parse_by_rows(stream, 2, ps.DEFAULT_EXTENT,
+                                                      MalformedRecord)
+    if not groups:
+        raise EmptyInput("activity CSV has no valid rows")
+    return groups, ps.DropCounts(out_of_extent=out_of_extent, negative_value=negative)
 
 
 def _outcome(parse):
@@ -247,11 +260,33 @@ class TestParseMatchesRowLoop:
     @example(("player_id,x,y,value\na,50,50,1\na,150,50,-1\n", ""))
     # a bad row in the second block is reported with its own line number
     @example(("player_id,x,y,value\n" + "a,50,50,1\n" * heatmap._BLOCK_LINES + "a,x,50,1\n", ""))
+    # a quoted id that starts on the first block's last line and ends in the next
+    @example(("player_id,x,y,value\n" + "a,50,50,1\n" * (heatmap._BLOCK_LINES - 1)
+              + '"x\ny",50,50,1\nb,150,50,1\nz,20,30,1\nb,10,10,-1\n', ""))
+    # a quoted first block, then a plain block with a bad row
+    @example(('player_id,x,y,value\n"a",50,50,1\n' + "b,40,40,1\n" * heatmap._BLOCK_LINES
+              + "a,x,50,1\n", ""))
     def test_same_groups_drops_and_errors(self, body):
         text, newline = body
         expected = _outcome(lambda: _parse_by_rows(text, newline))
         got = _outcome(lambda: ps.parse_activity_groups(io.StringIO(text, newline=newline)))
         assert got == expected
+
+    def test_plain_blocks_after_a_quoted_one_go_to_loadtxt(self, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting(lines, *args, **kwargs):
+            calls.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(heatmap.np, "loadtxt", counting)
+        n = heatmap._BLOCK_LINES
+        text = ('player_id,x,y,value\n"Smith, J",50,50,1\n' + "b,40,40,1\n" * (2 * n - 1)
+                + "b,30,30,1\n" * 10)
+        groups, drops = ps.parse_activity_groups(io.StringIO(text))
+        assert calls == [n, 10]
+        assert list(groups) == ["Smith, J", "b"] and len(groups["b"]) == 2 * n + 9
 
 
 class TestRasterize:

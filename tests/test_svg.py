@@ -2,6 +2,7 @@
 
 import math
 import re
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -57,3 +58,16 @@ class TestMatrixSvg:
         label_w = 8.0 * 3
         assert xy == [(f"{10.0 + label_w + j * 18.0:.2f}", f"{22.0 + 10.0 + i * 18.0:.2f}")
                       for i in range(12) for j in range(12)]
+
+
+class TestText:
+    def test_text_is_well_formed_xml_and_keeps_every_allowed_character(self):
+        forbidden = [*map(chr, range(0x9)), "\x0b", "\x0c", *map(chr, range(0xE, 0x20)),
+                     "\ufffe", "\uffff"]
+        allowed = ["Smith, J", "a&b<c>\"d'", "tab\tand\nnewline", "\x7f\x85 é 中 \U0001f600",
+                   "\ufffd", "\ufffd\U0010ffff"]
+        labels = [f"a{c}b" for c in forbidden] + allowed
+        svg = matrix_svg(np.eye(len(labels)), labels, title="\x01 & <t>")
+        texts = [node.firstChild.data
+                 for node in minidom.parseString(svg.encode()).getElementsByTagName("text")]
+        assert texts == ["\ufffd & <t>", *["a\ufffdb"] * len(forbidden), *allowed]
