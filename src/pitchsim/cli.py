@@ -260,7 +260,9 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
         heatmaps, w, n_perm=cfg.n_perm, master_seed=cfg.seed, workers=cfg.workers
     )
     ids = list(matrix.player_ids)
-    dend = hc.complete_linkage(matrix.pseudo_distance)
+    # linkage ties go by player id, so the clusters ignore the argument order
+    rank = {pid: r for r, pid in enumerate(sorted(ids))}
+    dend = hc.complete_linkage(matrix.pseudo_distance, [rank[pid] for pid in ids])
     labels = hc.cut(dend, cfg.cut)
 
     # cluster-ordered view: sort players by label, then original position
@@ -268,9 +270,8 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
     ordered_ids = [ids[i] for i in order]
     ordered_p = matrix.pseudo_distance[np.ix_(order, order)]
 
-    counts, edges = np.histogram(
-        _offdiag(matrix.pseudo_distance), bins=HISTOGRAM_BINS, range=(0.0, 1.0)
-    )
+    counts, edges = np.histogram(matrix.pseudo_distance[np.triu_indices(len(ids), 1)],
+                                 bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     hist_lines = ["bin_start,bin_end,count"]
     for b in range(HISTOGRAM_BINS):
         hist_lines.append(f"{edges[b]!r},{edges[b + 1]!r},{int(counts[b])}")
@@ -300,12 +301,6 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
         f"wrote {len(files)} file(s) to {cfg.out}"
     )
     return 0
-
-
-def _offdiag(m: np.ndarray) -> np.ndarray:
-    k = m.shape[0]
-    iu = np.triu_indices(k, k=1)
-    return m[iu]
 
 
 def main(argv=None) -> int:

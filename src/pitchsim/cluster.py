@@ -63,15 +63,16 @@ class Dendrogram:
         return self.merges[-1].height if self.merges else 0.0
 
 
-def complete_linkage(d) -> Dendrogram:
+def complete_linkage(d, rank=None) -> Dendrogram:
     """Agglomerate by repeatedly merging the closest pair of clusters.
 
     The distance between two clusters is the largest pairwise distance
-    between their members. The diagonal of ``d`` is ignored. When several
-    pairs tie at the minimal distance, the pair whose (smallest leaf id,
-    smallest leaf id) key is lexicographically least is merged, which makes
-    the result deterministic even when the distances saturate at a few
-    values.
+    between their members. The diagonal of ``d`` is ignored. ``rank``, a
+    permutation of 0..k-1, orders the leaves by identity; by default it is
+    the leaf numbers. Among the pairs tied at the minimal distance, the one
+    whose (least rank, least rank) key is least merges, so the merges, as
+    sets of ranks, do not depend on the leaf order even when the distances
+    saturate at a few values.
 
     Raises
     ------
@@ -91,6 +92,9 @@ def complete_linkage(d) -> Dendrogram:
     off_diag = d[~np.eye(k, dtype=bool)]
     if off_diag.size and off_diag.min() < 0:
         raise ValueError("off-diagonal distances must be nonnegative")
+    least = np.arange(k) if rank is None else np.array(rank)  # least leaf rank per position
+    if not np.array_equal(np.sort(least), np.arange(k)):
+        raise ValueError(f"rank must be a permutation of 0..{k - 1}")
     if k == 1:
         return Dendrogram(n_leaves=1, merges=())
 
@@ -98,7 +102,6 @@ def complete_linkage(d) -> Dendrogram:
     np.fill_diagonal(work, np.inf)
     active = np.arange(k)            # positions still in play
     node_id = list(range(k))         # dendrogram node id per position
-    min_leaf = np.arange(k)          # smallest leaf id per position
 
     merges: list[Merge] = []
     for step in range(k - 1):
@@ -106,12 +109,12 @@ def complete_linkage(d) -> Dendrogram:
         ai, bi = np.nonzero(block == block.min())
         # each pair appears in both orders: ai < bi keeps one, and no diagonal
         pa, pb = active[ai[ai < bi]], active[bi[ai < bi]]
-        # among the pairs at the minimal height, the least (lo, hi) leaf key
-        la, lb = min_leaf[pa], min_leaf[pb]
+        # among the pairs at the minimal height, the least (lo, hi) rank key
+        la, lb = least[pa], least[pb]
         t = int(np.argmin(np.minimum(la, lb) * k + np.maximum(la, lb)))
         a, b = int(pa[t]), int(pb[t])
         height = float(work[a, b])
-        if min_leaf[b] < min_leaf[a]:
+        if least[b] < least[a]:
             a, b = b, a
         merges.append(Merge(left=node_id[a], right=node_id[b], height=height))
         # complete-linkage update: slot a becomes the merged cluster; like
@@ -120,7 +123,7 @@ def complete_linkage(d) -> Dendrogram:
         work[a, active] = merged
         work[active, a] = merged
         node_id[a] = k + step
-        min_leaf[a] = min(min_leaf[a], min_leaf[b])
+        least[a] = min(least[a], least[b])
         active = active[active != b]
     return Dendrogram(n_leaves=k, merges=tuple(merges))
 

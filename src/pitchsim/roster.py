@@ -7,6 +7,7 @@ import hashlib
 import io
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -125,17 +126,6 @@ def _pair(players, n_perm, master_seed, pair: tuple[int, int]) -> tuple[int, int
     return i, j, _test(players[i], players[j], n_perm, master_seed)
 
 
-_POOL: dict = {}  # a pool worker process's bound _pair, set once by _pool_init
-
-
-def _pool_init(players, n_perm, master_seed):
-    _POOL["pair"] = partial(_pair, players, n_perm, master_seed)
-
-
-def _pool_pair(pair: tuple[int, int]) -> tuple[int, int, TestResult]:
-    return _POOL["pair"](pair)
-
-
 def compute_matrix(
     heatmaps: list[Heatmap],
     w: WeightsMatrix,
@@ -151,11 +141,11 @@ def compute_matrix(
     permutes the matrix, adding a player leaves every existing entry
     unchanged, and results are bitwise identical for any worker count and
     any pair scheduling order. Each player's half of the work (checks,
-    centering, spatial lags, id digest) is done once, before the pool
-    starts, so the pair loop does only per-pair work. The pool has
-    ``min(workers, pairs, CPUs)`` processes; with one, the pairs run in
-    this process. No module state is kept in the calling process, so
-    several threads may call this at once.
+    centering, spatial lags, id digest) is done once, so the pair loop does
+    only per-pair work. A pool of ``min(workers, pairs, CPUs)`` processes
+    maps one bound pair test over chunks of pairs, each chunk carrying the
+    prepared players; with one process, the pairs run in this process. No
+    module state is kept, so several threads may call this at once.
 
     Raises
     ------
@@ -182,19 +172,20 @@ def compute_matrix(
     # the pool starts all its processes at once
     workers = min(workers, len(pairs), os.cpu_count() or 1)
 
+    test = partial(_pair, players, n_perm, master_seed)
     pmat = np.empty((k, k))
     lmat = np.empty((k, k))
-    if workers <= 1:
-        _fill(pmat, lmat, map(partial(_pair, players, n_perm, master_seed), pairs))
-    else:
-        # workers get the prepared players once, with the pool state, not per pair
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(players, n_perm, master_seed),
-        ) as pool:
-            chunk = max(1, len(pairs) // (workers * 4))
-            _fill(pmat, lmat, pool.map(_pool_pair, pairs, chunksize=chunk))
+    with ExitStack() as stack:
+        if workers <= 1:
+            results = map(test, pairs)
+        else:
+            # each chunk of pairs carries the prepared players in one pickle
+            pool = stack.enter_context(ProcessPoolExecutor(workers))
+            results = pool.map(test, pairs, chunksize=max(1, len(pairs) // (workers * 4)))
+        # position-addressed writes: scheduling order never affects the matrix
+        for i, j, res in results:
+            pmat[i, j] = pmat[j, i] = res.p_value
+            lmat[i, j] = lmat[j, i] = res.statistic
 
     return RosterMatrix(
         player_ids=tuple(h.player_id for h in heatmaps),
@@ -203,13 +194,6 @@ def compute_matrix(
         n_perm=n_perm,
         master_seed=master_seed,
     )
-
-
-def _fill(pmat: np.ndarray, lmat: np.ndarray, results) -> None:
-    # position-addressed writes: scheduling order never affects the matrix
-    for i, j, res in results:
-        pmat[i, j] = pmat[j, i] = res.p_value
-        lmat[i, j] = lmat[j, i] = res.statistic
 
 
 def matrix_to_json(m: RosterMatrix) -> dict:

@@ -171,17 +171,19 @@ def kernel_sum_direct(points, centers, bandwidth: float) -> np.ndarray:
     return out
 
 
-def naive_complete_linkage(d) -> list[tuple[int, int, float]]:
+def naive_complete_linkage(d, rank=None) -> list[tuple[int, int, float]]:
     """Agglomerative complete linkage, recomputing every cluster pair from
     scratch each step. Same tie rule as the package: smallest
-    (min leaf of one side, min leaf of other) pair wins; the child with the
-    smaller min leaf is recorded on the left.
+    (least rank of one side, least rank of other) pair wins; the child with
+    the lesser least rank is recorded on the left. ``rank`` defaults to the
+    leaf numbers.
 
     Returns [(left, right, height), ...] with scipy-style node ids.
     """
     d = np.asarray(d, dtype=float)
     k = d.shape[0]
-    clusters = {i: (frozenset([i]), i) for i in range(k)}  # id -> (leaves, min leaf)
+    rank = range(k) if rank is None else rank
+    clusters = {i: (frozenset([i]), rank[i]) for i in range(k)}  # id -> (leaves, least rank)
     merges = []
     next_id = k
     while len(clusters) > 1:

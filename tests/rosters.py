@@ -43,8 +43,9 @@ def blob_heatmap(rng, player_id, cx, cy, spread, grid, n=150) -> ps.Heatmap:
     return ps.normalize(ps.rasterize(pts, grid, BANDWIDTH, player_id=player_id))
 
 
-# role -> (center x, center y, spread); the goalkeeper is listed last so the
-# saturated-tie break (smallest leaf id first) mirrors the reference ordering
+# role -> (center x, center y, spread). The midfielders' ids sort in list
+# order, so their saturated ties break alike whether linkage ranks the leaves
+# by position or by player id: mid_a joins mid_b first, then mid_c
 FIVE_PLAYER_ROLES = [
     ("mid_a", 44.0, 38.0, 13.0),
     ("mid_b", 44.0, 62.0, 13.0),

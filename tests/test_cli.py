@@ -345,6 +345,55 @@ class TestPairIdentity:
                 assert alone[key] == among_all[key], (a, b, key)
 
 
+def _partition(out):
+    """clusters.csv as a set of clusters, each a set of player ids."""
+    with open(out / "clusters.csv", encoding="utf-8", newline="") as f:
+        groups = {}
+        for pid, label in list(csv.reader(f))[1:]:
+            groups.setdefault(label, set()).add(pid)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _merges(out):
+    """dendrogram.json's merges as (left ids, right ids, height)."""
+    doc = json.loads((out / "dendrogram.json").read_text(encoding="utf-8"))
+    members = [frozenset([pid]) for pid in doc["ids"]]
+    merges = []
+    for m in doc["merges"]:
+        left, right = members[m["left"]], members[m["right"]]
+        members.append(left | right)
+        merges.append((left, right, m["height"]))
+    return merges
+
+
+class TestClusterIdentity:
+    """The clusters depend on the players, never on the order of the arguments."""
+
+    def test_reversed_arguments_give_one_partition(self, tmp_path, capsys):
+        # uniform centres leave many pairs tied at the p-value floor, so the
+        # merges depend on how ties are broken
+        grid = ps.build_grid(14, 20)
+        rng = np.random.default_rng(3)
+        paths = []
+        for i in range(40):
+            cx, cy = rng.uniform(15.0, 85.0, size=2)
+            h = blob_heatmap(rng, f"u{i:02d}", cx, cy, 12.0, grid)
+            path = tmp_path / f"heatmap_u{i:02d}.json"
+            path.write_text(json.dumps(ps.heatmap_to_json(h)), encoding="utf-8")
+            paths.append(str(path))
+        fwd, rev = tmp_path / "fwd", tmp_path / "rev"
+        flags = ["--n-perm", "99", "--cut", "0.05"]
+        assert main(["cluster", *paths, *flags, "--out", str(fwd)]) == 0
+        assert main(["cluster", *paths[::-1], *flags, "--out", str(rev)]) == 0
+        capsys.readouterr()
+        values = [{key: line.split(",")[2:] for key, line in _pairs_rows(out).items()}
+                  for out in (fwd, rev)]
+        assert values[0] == values[1]
+        assert len(_partition(fwd)) > 1
+        assert _partition(fwd) == _partition(rev)
+        assert _merges(fwd) == _merges(rev)
+
+
 @pytest.fixture(scope="module")
 def nine_out(tmp_path_factory):
     csv_dir = tmp_path_factory.mktemp("nine_csv")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pitchsim as ps
 from pitchsim.errors import AsymmetricInput, NaNInput
@@ -127,6 +129,12 @@ class TestCompleteLinkage:
         assert [(m.left, m.right, m.height) for m in dend.merges] == \
             naive_complete_linkage(d)
 
+    def test_rank_must_be_a_permutation_of_the_leaves(self):
+        d = np.array([[0.0, 0.4], [0.4, 0.0]])
+        for rank in ([0, 0], [1, 2], [0]):
+            with pytest.raises(ValueError, match="permutation"):
+                ps.complete_linkage(d, rank)
+
     def test_heights_non_decreasing(self):
         rng = np.random.default_rng(18)
         for _ in range(20):
@@ -178,6 +186,39 @@ class TestCompleteLinkage:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             ps.complete_linkage(np.zeros((2, 3)))
+
+
+def _merge_sets(dend, names):
+    """Each merge as (left players, right players, height)."""
+    members = [frozenset([name]) for name in names]
+    out = []
+    for m in dend.merges:
+        members.append(members[m.left] | members[m.right])
+        out.append((members[m.left], members[m.right], m.height))
+    return out
+
+
+class TestIdentityTieBreak:
+    """Ties go by the leaves' ranks, so the merges follow the players, not
+    the order they are listed in."""
+
+    # all equal, two levels, and p-values saturated at the floor
+    LEVELS = [(0.5,), (0.001, 1.0), (0.001, 0.001, 0.001, 0.5, 1.0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.sampled_from(LEVELS), st.integers(0, 2**32 - 1))
+    def test_merges_ignore_the_leaf_order(self, k, levels, seed):
+        rng = np.random.default_rng(seed)
+        d = np.asarray(levels)[rng.integers(0, len(levels), (k, k))]
+        d = np.maximum(d, d.T)
+        np.fill_diagonal(d, 0.0)
+        rank = rng.permutation(k)
+        perm = rng.permutation(k)
+        dp, rp = d[np.ix_(perm, perm)], rank[perm]
+        base, moved = ps.complete_linkage(d, rank), ps.complete_linkage(dp, rp)
+        assert _merge_sets(base, rank) == _merge_sets(moved, rp)
+        assert [(m.left, m.right, m.height) for m in moved.merges] == \
+            naive_complete_linkage(dp, rp)
 
 
 def _partition(labels, relabel=None):

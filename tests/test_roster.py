@@ -102,9 +102,8 @@ class TestFivePlayerMatrix:
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
 
-    def __init__(self, sizes, max_workers, initializer, initargs):
+    def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -130,7 +129,7 @@ class TestPoolSize:
                                            players, workers, cpus, pool_size):
         sizes = []
         monkeypatch.setattr(roster, "ProcessPoolExecutor",
-                            lambda **kw: _SerialPool(sizes, **kw))
+                            lambda n: _SerialPool(sizes, n))
         monkeypatch.setattr(roster.os, "cpu_count", lambda: cpus)
         m = ps.compute_matrix(five[:players], weights, n_perm=N_PERM,
                               master_seed=MASTER_SEED, workers=workers)
@@ -170,7 +169,7 @@ class TestPreparedPlayers:
 
         monkeypatch.setattr(roster, "permutation_test", counted)
         monkeypatch.setattr(roster, "ProcessPoolExecutor",
-                            lambda **kw: _SerialPool([], **kw))
+                            lambda n: _SerialPool([], n))
         monkeypatch.setattr(roster.os, "cpu_count", lambda: 2)
         m = ps.compute_matrix(five, weights, n_perm=N_PERM, master_seed=MASTER_SEED,
                               workers=2)
@@ -365,6 +364,37 @@ class TestNoSharedState:
             t.start()
         for t in threads:
             t.join()
+        for g, m in zip(got, want):
+            assert g is not None
+            assert g.player_ids == m.player_ids
+            assert np.array_equal(g.pseudo_distance, m.pseudo_distance)
+            assert np.array_equal(g.statistic, m.statistic)
+
+    def test_a_pooled_and_a_serial_matrix_run_in_two_threads(self, monkeypatch, grid,
+                                                             weights):
+        rng = np.random.default_rng(37)
+        # (roster, master seed, workers): the second thread starts a pool
+        calls = [([blob_heatmap(rng, f"{tag}{i}", 20.0 + 12.0 * i, cy, 9.0, grid)
+                   for i in range(6)], seed, workers)
+                 for tag, cy, seed, workers in (("a", 30.0, 3, 1), ("b", 70.0, 5, 2))]
+        want = [ps.compute_matrix(r, weights, n_perm=N_PERM, master_seed=seed)
+                for r, seed, _ in calls]
+        monkeypatch.setattr(roster.os, "cpu_count", lambda: 2)
+        started = threading.Barrier(2, timeout=60)
+        got = [None, None]
+
+        def run(t):
+            r, seed, workers = calls[t]
+            started.wait()
+            got[t] = ps.compute_matrix(r, weights, n_perm=N_PERM, master_seed=seed,
+                                       workers=workers)
+
+        threads = [threading.Thread(target=run, args=(t,), daemon=True) for t in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
         for g, m in zip(got, want):
             assert g is not None
             assert g.player_ids == m.player_ids
