@@ -260,9 +260,7 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
         heatmaps, w, n_perm=cfg.n_perm, master_seed=cfg.seed, workers=cfg.workers
     )
     ids = list(matrix.player_ids)
-    # linkage ties go by player id, so the clusters ignore the argument order
-    rank = {pid: r for r, pid in enumerate(sorted(ids))}
-    dend = hc.complete_linkage(matrix.pseudo_distance, [rank[pid] for pid in ids])
+    dend = hc.complete_linkage(matrix.pseudo_distance, ids)
     labels = hc.cut(dend, cfg.cut)
 
     # cluster-ordered view: sort players by label, then original position
@@ -279,8 +277,8 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
     files = {
         "matrix.json": _dump_json(rm.matrix_to_json(matrix)),
         "pairs.csv": rm.pairs_to_csv(matrix),
-        "dendrogram.nwk": hc.export_newick(dend, ids) + "\n",
-        "dendrogram.json": _dump_json(hc.merges_to_json(dend, ids)),
+        "dendrogram.nwk": hc.export_newick(dend) + "\n",
+        "dendrogram.json": _dump_json(hc.merges_to_json(dend)),
         "clusters.csv": hc.clusters_to_csv(ids, labels),
         "matrix_original.svg": matrix_svg(
             matrix.pseudo_distance, ids, title="pseudo-distance (input order)"

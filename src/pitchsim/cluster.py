@@ -30,16 +30,19 @@ class Merge(NamedTuple):
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Merge tree over ``n_leaves`` players.
+    """Merge tree over the players ``ids``, all distinct.
 
-    Leaves are numbered 0..k-1; the t-th merge creates internal node k+t.
+    Leaf i is ``ids[i]``; the t-th merge creates internal node k+t.
     Complete linkage guarantees non-decreasing merge heights.
     """
 
-    n_leaves: int
+    ids: tuple[str, ...]
     merges: tuple[Merge, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        if len(set(self.ids)) != self.n_leaves:
+            raise ValueError("player ids must be distinct")
         if len(self.merges) != max(self.n_leaves - 1, 0):
             raise ValueError(
                 f"{self.n_leaves} leaves need {self.n_leaves - 1} merges, "
@@ -59,20 +62,20 @@ class Dendrogram:
                 seen.add(child)
 
     @property
-    def root_height(self) -> float:
-        return self.merges[-1].height if self.merges else 0.0
+    def n_leaves(self) -> int:
+        return len(self.ids)
 
 
-def complete_linkage(d, rank=None) -> Dendrogram:
+def complete_linkage(d, ids) -> Dendrogram:
     """Agglomerate by repeatedly merging the closest pair of clusters.
 
     The distance between two clusters is the largest pairwise distance
-    between their members. The diagonal of ``d`` is ignored. ``rank``, a
-    permutation of 0..k-1, orders the leaves by identity; by default it is
-    the leaf numbers. Among the pairs tied at the minimal distance, the one
-    whose (least rank, least rank) key is least merges, so the merges, as
-    sets of ranks, do not depend on the leaf order even when the distances
-    saturate at a few values.
+    between their members. The diagonal of ``d`` is ignored. ``ids`` names
+    the player of each row, all distinct. Among the pairs tied at the
+    minimal distance, the one whose (least id, least id) key sorts first
+    merges, and the cluster with the lesser least id goes on the left, so
+    the merges, as sets of ids, do not depend on the row order even when
+    the distances saturate at a few values.
 
     Raises
     ------
@@ -80,6 +83,8 @@ def complete_linkage(d, rank=None) -> Dendrogram:
         If ``d`` is not symmetric.
     NaNInput
         If ``d`` contains NaN.
+    ValueError
+        If ``ids`` does not hold one distinct id per row of ``d``.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -92,11 +97,15 @@ def complete_linkage(d, rank=None) -> Dendrogram:
     off_diag = d[~np.eye(k, dtype=bool)]
     if off_diag.size and off_diag.min() < 0:
         raise ValueError("off-diagonal distances must be nonnegative")
-    least = np.arange(k) if rank is None else np.array(rank)  # least leaf rank per position
-    if not np.array_equal(np.sort(least), np.arange(k)):
-        raise ValueError(f"rank must be a permutation of 0..{k - 1}")
+    ids = tuple(ids)
+    if len(ids) != k:
+        raise ValueError(f"expected {k} ids, got {len(ids)}")
+    # the least rank, in sorted id order, in each position's cluster;
+    # Dendrogram refuses duplicate ids
+    least = np.empty(k, dtype=np.intp)
+    least[sorted(range(k), key=ids.__getitem__)] = np.arange(k)
     if k == 1:
-        return Dendrogram(n_leaves=1, merges=())
+        return Dendrogram(ids, ())
 
     work = d.copy()
     np.fill_diagonal(work, np.inf)
@@ -125,14 +134,14 @@ def complete_linkage(d, rank=None) -> Dendrogram:
         node_id[a] = k + step
         least[a] = min(least[a], least[b])
         active = active[active != b]
-    return Dendrogram(n_leaves=k, merges=tuple(merges))
+    return Dendrogram(ids, tuple(merges))
 
 
 def cut(dend: Dendrogram, height: float) -> list[int]:
     """Flat clusters from merges with height <= the cut height.
 
     Returns one label per leaf. Clusters are numbered 1..m in order of
-    their smallest member leaf id.
+    their smallest member leaf number.
     """
     if not height >= 0:
         raise ValueError(f"cut height must be >= 0, got {height}")
@@ -172,22 +181,20 @@ def _newick_name(name: str) -> str:
     return name
 
 
-def export_newick(dend: Dendrogram, ids: list[str]) -> str:
+def export_newick(dend: Dendrogram) -> str:
     """Newick text with ultrametric branch lengths.
 
     Node elevations are half the merge heights, so the tree distance
     between two leaves equals the height of their first common merge.
     """
     k = dend.n_leaves
-    if len(ids) != k:
-        raise ValueError(f"expected {k} ids, got {len(ids)}")
     if k == 1:
-        return f"{_newick_name(ids[0])};"
+        return f"{_newick_name(dend.ids[0])};"
 
     elevation = [0.0] * k + [m.height / 2.0 for m in dend.merges]
     # each node's text without its branch length, built in merge order:
     # children always merge before their parent, so no recursion is needed
-    text = {leaf: _newick_name(name) for leaf, name in enumerate(ids)}
+    text = {leaf: _newick_name(name) for leaf, name in enumerate(dend.ids)}
     for node, m in enumerate(dend.merges, start=k):
         left, right = text.pop(m.left), text.pop(m.right)
         top = elevation[node]
@@ -196,9 +203,9 @@ def export_newick(dend: Dendrogram, ids: list[str]) -> str:
     return f"{text[node]};"
 
 
-def merges_to_json(dend: Dendrogram, ids: list[str]) -> dict:
+def merges_to_json(dend: Dendrogram) -> dict:
     return {
-        "ids": list(ids),
+        "ids": list(dend.ids),
         "merges": [
             {"left": m.left, "right": m.right, "height": float(m.height)}
             for m in dend.merges

@@ -65,16 +65,6 @@ class PitchGrid:
         _, ymin, _, ymax = self.extent
         return (ymax - ymin) / self.rows
 
-    def cell_index(self, row: int, col: int) -> int:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise IndexError(f"cell ({row}, {col}) outside {self.rows}x{self.cols} grid")
-        return row * self.cols + col
-
-    def cell_rowcol(self, index: int) -> tuple[int, int]:
-        if not (0 <= index < self.n):
-            raise IndexError(f"flat index {index} outside [0, {self.n})")
-        return divmod(index, self.cols)
-
     def cell_centers(self) -> np.ndarray:
         """Cell center coordinates as an (n, 2) array in flat-index order."""
         xmin, ymin, _, _ = self.extent
@@ -82,15 +72,6 @@ class PitchGrid:
         cy = ymin + (np.arange(self.rows) + 0.5) * self.cell_height
         xs, ys = np.meshgrid(cx, cy)
         return np.column_stack([xs.ravel(), ys.ravel()])
-
-    def cell_of(self, x: float, y: float) -> int:
-        """Flat index of the cell containing (x, y); boundary points are clipped inward."""
-        xmin, ymin, xmax, ymax = self.extent
-        if not (xmin <= x <= xmax and ymin <= y <= ymax):
-            raise ValueError(f"point ({x}, {y}) outside extent {self.extent!r}")
-        col = min(int((x - xmin) / self.cell_width), self.cols - 1)
-        row = min(int((y - ymin) / self.cell_height), self.rows - 1)
-        return self.cell_index(row, col)
 
 
 class WeightsMatrix:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -27,9 +28,6 @@ __all__ = [
     "matrix_to_json",
     "pairs_to_csv",
 ]
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class RosterMatrix:
@@ -56,9 +54,16 @@ def pair_seed(master_seed: int, a, b) -> int:
     The master seed and an 8-byte BLAKE2b digest of each id's ``str``, in
     sorted order, are absorbed as fixed-width words by numpy's SeedSequence:
     distinct master seeds cannot collide with shifted digests. Integer ids
-    therefore seed like their decimal strings.
+    therefore seed like their decimal strings. ``master_seed`` must be an
+    int in [0, 2**64).
     """
+    _check_seed(master_seed)
     return _seed(master_seed, _digest(a), _digest(b))
+
+
+def _check_seed(master_seed: int) -> None:
+    if not 0 <= operator.index(master_seed) < 1 << 64:
+        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
 
 
 def _digest(pid) -> int:
@@ -68,7 +73,7 @@ def _digest(pid) -> int:
 
 def _seed(master_seed: int, da: int, db: int) -> int:
     lo, hi = sorted((da, db))
-    words = np.array([master_seed & _MASK64, lo, hi], dtype=np.uint64)
+    words = np.array([master_seed, lo, hi], dtype=np.uint64)
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
@@ -118,6 +123,7 @@ def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
     the heatmaps' own grid. It refuses the same heatmaps and weights as
     :func:`compute_matrix`, with the same errors.
     """
+    _check_seed(master_seed)
     return _test(*_prepare([a, b], w), n_perm, master_seed)
 
 
@@ -155,9 +161,10 @@ def compute_matrix(
     ZeroVariance
         Naming the first player whose heatmap is constant.
     ValueError
-        If fewer than 2 heatmaps, two heatmaps share a player id, or any
-        heatmap is not normalized.
+        If fewer than 2 heatmaps, two heatmaps share a player id, any
+        heatmap is not normalized, or ``master_seed`` is outside [0, 2**64).
     """
+    _check_seed(master_seed)
     k = len(heatmaps)
     if k < 2:
         raise ValueError(f"need at least 2 heatmaps, got {k}")

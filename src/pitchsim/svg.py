@@ -8,7 +8,7 @@ import numpy as np
 
 from .grid import PitchGrid
 
-__all__ = ["heatmap_svg", "matrix_svg", "bar_chart_svg", "color_ramp"]
+__all__ = ["heatmap_svg", "matrix_svg", "bar_chart_svg"]
 
 # monotone dark-violet-to-yellow ramp, interpolated between fixed anchors
 _RAMP = (
@@ -40,11 +40,6 @@ def _ramp(t) -> list[str]:
     lo = _CHANNELS[seg]
     rgb = np.rint(lo + f[:, None] * (_CHANNELS[seg + 1] - lo)).astype(np.int64)
     return [f"#{v:06x}" for v in (rgb @ [1 << 16, 1 << 8, 1]).tolist()]
-
-
-def color_ramp(t: float) -> str:
-    """Hex color for t in [0, 1]; out-of-range values are clipped."""
-    return _ramp([float(t)])[0]
 
 
 def _document(width: float, height: float, body: list[str]) -> str:

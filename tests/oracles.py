@@ -171,19 +171,17 @@ def kernel_sum_direct(points, centers, bandwidth: float) -> np.ndarray:
     return out
 
 
-def naive_complete_linkage(d, rank=None) -> list[tuple[int, int, float]]:
+def naive_complete_linkage(d, ids) -> list[tuple[int, int, float]]:
     """Agglomerative complete linkage, recomputing every cluster pair from
     scratch each step. Same tie rule as the package: smallest
-    (least rank of one side, least rank of other) pair wins; the child with
-    the lesser least rank is recorded on the left. ``rank`` defaults to the
-    leaf numbers.
+    (least id of one side, least id of other) pair wins; the child with
+    the lesser least id is recorded on the left.
 
     Returns [(left, right, height), ...] with scipy-style node ids.
     """
     d = np.asarray(d, dtype=float)
     k = d.shape[0]
-    rank = range(k) if rank is None else rank
-    clusters = {i: (frozenset([i]), rank[i]) for i in range(k)}  # id -> (leaves, least rank)
+    clusters = {i: (frozenset([i]), ids[i]) for i in range(k)}  # node -> (leaves, least player id)
     merges = []
     next_id = k
     while len(clusters) > 1:

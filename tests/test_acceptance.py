@@ -145,7 +145,7 @@ def test_4_role_sign_structure(five_matrix_timed, capsys):
 
 def test_5_merge_order_midfield_first_keeper_last(five_matrix_timed, capsys):
     m, _ = five_matrix_timed
-    dend = ps.complete_linkage(m.pseudo_distance)
+    dend = ps.complete_linkage(m.pseudo_distance, m.player_ids)
     first_pair = {dend.merges[0].left, dend.merges[0].right}
     mids_first = first_pair <= set(MID_IDX)
     keeper_last = dend.merges[-1].right == GK_IDX
@@ -162,7 +162,7 @@ def test_6_cut_recovers_generating_groups(capsys):
     heatmaps, roles = nine_player_roster(g)
     m = ps.compute_matrix(heatmaps, default_weights(g),
                           n_perm=N_PERM, master_seed=MASTER_SEED)
-    labels = ps.cut(ps.complete_linkage(m.pseudo_distance), 0.5)
+    labels = ps.cut(ps.complete_linkage(m.pseudo_distance, m.player_ids), 0.5)
     agree = sum(
         (labels[i] == labels[j]) == (roles[i] == roles[j])
         for i in range(9) for j in range(i + 1, 9)

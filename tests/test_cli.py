@@ -647,6 +647,23 @@ class TestConfig:
                                f"{'> 0' if key == 'bandwidth' else '>= 0'}, got {value}"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("command", ["compare", "cluster"])
+    def test_master_seed_outside_64_bits_fails(self, five_heatmap_dir, tmp_path, capsys,
+                                               command, seed):
+        paths = _heatmap_args(five_heatmap_dir)
+        # a cut off the p-value floor, so that no warning precedes the error
+        args = ["compare", "mid_a", "gk", *paths, "--json"] if command == "compare" \
+            else ["cluster", *paths, "--cut", "0.05"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed={seed}\n", encoding="utf-8")
+        for opts in (["--seed", seed], ["--config", str(cfg)]):
+            assert main([*args, *opts, "--out", str(tmp_path / "o")]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: master seed must be in [0, 2**64), got {seed}\n"
+            assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_installed_entry_point(self, tmp_path):
         # Run the declared console-script target the way pip's generated
         # wrapper does, against the same package the suite imported, so the

@@ -19,20 +19,61 @@ def _section_code(heading: str) -> str:
     return match.group(1)
 
 
-def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
-    rng = np.random.default_rng(12)
+def _run_library(directory, monkeypatch, players):
+    """The Library snippet's names after it runs in ``directory`` on
+    ``players``, (player id, (m, 3) points) pairs written to matchday.csv in
+    that order."""
     lines = ["player_id,x,y,value"]
-    for pid, cx, cy in (("alice", 40.0, 45.0), ("bob", 45.0, 55.0), ("cara", 80.0, 50.0)):
-        lines += [f"{pid},{x!r},{y!r},{value!r}"
-                  for x, y, value in blob_points(rng, cx, cy, 10.0, n=60).tolist()]
-    (tmp_path / "matchday.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-
+    for pid, pts in players:
+        lines += [f"{pid},{x!r},{y!r},{value!r}" for x, y, value in pts.tolist()]
+    directory.mkdir(exist_ok=True)
+    (directory / "matchday.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    monkeypatch.chdir(directory)
     ns = {}
     exec(compile(_section_code("Library"), str(README), "exec"), ns)
+    return ns
+
+
+def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(12)
+    players = [(pid, blob_points(rng, cx, cy, 10.0, n=60))
+               for pid, cx, cy in (("alice", 40.0, 45.0), ("bob", 45.0, 55.0),
+                                   ("cara", 80.0, 50.0))]
+    ns = _run_library(tmp_path, monkeypatch, players)
 
     res, m = ns["res"], ns["m"]
     assert m.player_ids == ("alice", "bob", "cara")
     assert (res.statistic, res.p_value) == (m.statistic[0, 1], m.pseudo_distance[0, 1])
     assert len(ns["labels"]) == 3
     assert capsys.readouterr().out == f"{res.statistic} {res.p_value}\n"
+
+
+def _partition(ns):
+    groups = {}
+    for pid, label in zip(ns["m"].player_ids, ns["labels"]):
+        groups.setdefault(label, set()).add(pid)
+    return {frozenset(g) for g in groups.values()}
+
+
+def _merge_sets(ns):
+    members = [frozenset([pid]) for pid in ns["m"].player_ids]
+    for m in ns["dend"].merges:
+        members.append(members[m.left] | members[m.right])
+    return [(members[m.left], members[m.right], m.height) for m in ns["dend"].merges]
+
+
+def test_library_clusters_follow_the_players_not_their_order(tmp_path, monkeypatch,
+                                                            capsys):
+    # uniform centres leave many pairs tied at the p-value floor, so the
+    # clusters depend on how the linkage breaks ties
+    rng = np.random.default_rng(3)
+    players = []
+    for i in range(40):
+        cx, cy = rng.uniform(15.0, 85.0, size=2)
+        players.append((f"u{i:02d}", blob_points(rng, cx, cy, 12.0)))
+    fwd = _run_library(tmp_path / "fwd", monkeypatch, players)
+    rev = _run_library(tmp_path / "rev", monkeypatch, players[::-1])
+    capsys.readouterr()
+    assert len(_partition(fwd)) > 1
+    assert _partition(fwd) == _partition(rev)
+    assert _merge_sets(fwd) == _merge_sets(rev)

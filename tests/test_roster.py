@@ -448,6 +448,25 @@ class TestPairSeed:
         assert type(s) is int and 0 <= s < 1 << 64
         assert s == ps.pair_seed(0, "0", "1")
 
+    @pytest.mark.parametrize("master", [-1, 1 << 64, (1 << 64) + 5, -(1 << 64)])
+    def test_master_seed_outside_64_bits_rejected_before_any_test(
+            self, master, five, weights, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair test or pool started")
+
+        monkeypatch.setattr(roster, "_prepare", refuse)
+        monkeypatch.setattr(roster, "ProcessPoolExecutor", refuse)
+        want = rf"master seed must be in \[0, 2\*\*64\), got {master}$"
+        for call in (lambda: ps.pair_seed(master, "a", "b"),
+                     lambda: ps.pair_test(five[0], five[1], weights, master_seed=master),
+                     lambda: ps.compute_matrix(five, weights, master_seed=master, workers=2)):
+            with pytest.raises(ValueError, match=want):
+                call()
+
+    def test_master_seeds_at_the_ends_of_the_range_are_distinct(self):
+        seeds = {ps.pair_seed(master, "a", "b") for master in (0, 1, (1 << 64) - 1)}
+        assert len(seeds) == 3
+
 
 class TestPairTest:
     def test_permutes_the_player_whose_id_sorts_last(self, five, weights):

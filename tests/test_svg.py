@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pitchsim as ps
-from pitchsim.svg import color_ramp, heatmap_svg, matrix_svg
+from pitchsim.svg import heatmap_svg, matrix_svg
 
 from oracles import RAMP_ANCHORS, color_ramp_scalar
 
@@ -20,7 +20,11 @@ class TestColorRamp:
             values += [a, math.nextafter(a, -1.0), math.nextafter(a, 2.0)]
         values += np.random.default_rng(2).random(5000).tolist()
         values += (np.arange(8001) / 8000).tolist()
-        assert [color_ramp(v) for v in values] == [color_ramp_scalar(v) for v in values]
+        # the fills of a square matrix image, the values repeated to fill it
+        k = math.isqrt(len(values) - 1) + 1
+        square = np.resize(values, (k, k))
+        fills = re.findall(r'<rect [^>]*fill="(#[0-9a-f]{6})"', matrix_svg(square, [""] * k))
+        assert fills == [color_ramp_scalar(v) for v in square.ravel()]
 
 
 class TestHeatmapSvg:
@@ -35,7 +39,7 @@ class TestHeatmapSvg:
         top = cells.max()
         expected = []
         for idx in range(g.n):
-            r, c = g.cell_rowcol(idx)
+            r, c = divmod(idx, g.cols)
             y = 22.0 + 10.0 + 68.0 * 6.0 - (r + 1) * ch
             t = cells[idx] / top if top > 0 else 0.0
             expected.append((f"{10.0 + c * cw:.2f}", f"{y:.2f}", f"{cw:.2f}", f"{ch:.2f}",
