@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cluster as hc
-from . import roster as rm
 from .errors import PitchsimError, UnknownPlayer
 from .grid import DEFAULT_EXTENT, SCHEMES, PitchGrid, adjacency, build_grid
 from .heatmap import (
@@ -169,7 +167,8 @@ def _load_heatmaps(paths, cfg: RunConfig):
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
             h = heatmap_from_json(doc, extent=DEFAULT_EXTENT)
-        except (PitchsimError, ValueError) as exc:
+        except (PitchsimError, ValueError, RecursionError) as exc:
+            # json.loads recurses once per nesting level
             raise PitchsimError(f"{path}: {exc}") from exc
         if (h.grid.rows, h.grid.cols) != (cfg.rows, cfg.cols):
             raise PitchsimError(
@@ -214,6 +213,8 @@ def cmd_rasterize(cfg: RunConfig, csv_paths: list[str]) -> int:
 
 def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
                 as_json: bool = False) -> int:
+    from . import roster as rm
+
     heatmaps = {h.player_id: h for h in _load_heatmaps(heatmap_paths, cfg)}
     for pid in (player_a, player_b):
         if pid not in heatmaps:
@@ -243,22 +244,24 @@ def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
 
 
 def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
+    from . import cluster as hc
+    from . import roster as rm
+
     heatmaps = _load_heatmaps(heatmap_paths, cfg)
     if len(heatmaps) < 2:
         raise PitchsimError("cluster needs at least 2 players")
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
+    matrix = rm.compute_matrix(
+        heatmaps, w, n_perm=cfg.n_perm, master_seed=cfg.seed, workers=cfg.workers
+    )
 
-    floor = 1.0 / (cfg.n_perm + 1)
-    if math.isclose(cfg.cut, floor):
+    # after compute_matrix, which refuses a bad seed: a refused run prints one error line
+    if math.isclose(cfg.cut, 1.0 / (cfg.n_perm + 1)):
         print(
             f"warning: cut height {cfg.cut} equals the p-value resolution floor "
             f"1/(n_perm+1); consider raising --n-perm",
             file=sys.stderr,
         )
-
-    matrix = rm.compute_matrix(
-        heatmaps, w, n_perm=cfg.n_perm, master_seed=cfg.seed, workers=cfg.workers
-    )
     ids = list(matrix.player_ids)
     dend = hc.complete_linkage(matrix.pseudo_distance, ids)
     labels = hc.cut(dend, cfg.cut)

@@ -7,7 +7,6 @@ import hashlib
 import io
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -186,6 +185,9 @@ def compute_matrix(
         if workers <= 1:
             results = map(test, pairs)
         else:
+            # loaded here, so a one-process run never imports the pool's modules
+            from concurrent.futures import ProcessPoolExecutor
+
             # each chunk of pairs carries the prepared players in one pickle
             pool = stack.enter_context(ProcessPoolExecutor(workers))
             results = pool.map(test, pairs, chunksize=max(1, len(pairs) // (workers * 4)))

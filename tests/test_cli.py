@@ -564,6 +564,21 @@ class TestMalformedHeatmap:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}: heatmap must be a JSON object, got list"]
 
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_nesting_beyond_the_recursion_limit(self, five_heatmap_dir, tmp_path, capsys,
+                                                command):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000, encoding="utf-8")
+        paths = _heatmap_args(five_heatmap_dir)
+        argv = [command, str(bad), *paths, "--out", str(tmp_path / "o")]
+        if command == "compare":
+            argv[1:1] = ["gk", "fwd"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("rows,cells", [(1, [0.25] * 4), (0, [])])
     def test_grid_below_2x2_fails(self, tmp_path, capsys, rows, cells):
         thin = tmp_path / "thin.json"
@@ -652,9 +667,10 @@ class TestConfig:
     def test_master_seed_outside_64_bits_fails(self, five_heatmap_dir, tmp_path, capsys,
                                                command, seed):
         paths = _heatmap_args(five_heatmap_dir)
-        # a cut off the p-value floor, so that no warning precedes the error
+        # cluster runs at the default cut, on the p-value floor: the refused
+        # seed still ends the run before the floor warning is printed
         args = ["compare", "mid_a", "gk", *paths, "--json"] if command == "compare" \
-            else ["cluster", *paths, "--cut", "0.05"]
+            else ["cluster", *paths]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed={seed}\n", encoding="utf-8")
         for opts in (["--seed", seed], ["--config", str(cfg)]):
@@ -688,25 +704,36 @@ class TestConfig:
         _assert_pitchsim_help(proc)
 
 
-# Runs every command in one fresh interpreter, then lists the scipy modules
-# that interpreter loaded.
+# Runs every command in one fresh interpreter and lists, after the import
+# and after each command, the watched modules that interpreter has loaded.
 _RUN_ALL_COMMANDS = """
 import json, sys
 from pathlib import Path
+WATCHED = ("scipy", "concurrent.futures", "multiprocessing", "pitchsim.roster",
+           "pitchsim.cluster", "hashlib")
+def loaded():
+    return sorted(m for m in sys.modules
+                  if any(m == w or m.startswith(w + ".") for w in WATCHED))
 from pitchsim.cli import main
+report = {"import": loaded()}
 csv_dir, out = map(Path, sys.argv[1:])
 codes = [main(["rasterize", *map(str, sorted(csv_dir.glob("*.csv"))), "--out", str(out)])]
+report["rasterize"] = loaded()
 maps = sorted(map(str, out.glob("heatmap_*.json")))
 codes.append(main(["compare", "mid_a", "gk", *maps, "--n-perm", "9"]))
-codes.append(main(["cluster", *maps, "--n-perm", "9", "--out", str(out / "cluster")]))
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+report["compare"] = loaded()
+codes.append(main(["cluster", *maps, "--n-perm", "9", "--workers", "1",
+                   "--out", str(out / "cluster")]))
+report["cluster"] = loaded()
+print(json.dumps({"codes": codes, "loaded": report}))
 """
 
 
 def test_commands_import_no_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy.sparse alone used to
-    # double every command's start-up
+    # double every command's start-up. Each command loads only what it
+    # runs: rasterize no roster, cluster or id digests, and a one-worker
+    # run no process pool.
     _five_player_csvs(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(ps.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", _RUN_ALL_COMMANDS, str(tmp_path),
@@ -714,4 +741,9 @@ def test_commands_import_no_scipy(tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"codes": [0, 0, 0], "scipy": []}
+    assert report["codes"] == [0, 0, 0]
+    loaded = report["loaded"]
+    assert loaded["import"] == loaded["rasterize"] == []
+    for command in ("compare", "cluster"):
+        assert not [m for m in loaded[command]
+                    if m.split(".")[0] in ("scipy", "concurrent", "multiprocessing")]

@@ -1,5 +1,6 @@
 """All-pairs pseudo-distance matrix over synthetic rosters."""
 
+import concurrent.futures
 import csv
 import gc
 import hashlib
@@ -100,7 +101,9 @@ class TestFivePlayerMatrix:
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+    """Stands in for ProcessPoolExecutor, which compute_matrix looks up in
+    concurrent.futures when it starts a pool: records its size, maps in
+    this process."""
 
     def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
@@ -128,7 +131,7 @@ class TestPoolSize:
     def test_pool_capped_at_pairs_and_cpus(self, monkeypatch, five, weights, five_matrix,
                                            players, workers, cpus, pool_size):
         sizes = []
-        monkeypatch.setattr(roster, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda n: _SerialPool(sizes, n))
         monkeypatch.setattr(roster.os, "cpu_count", lambda: cpus)
         m = ps.compute_matrix(five[:players], weights, n_perm=N_PERM,
@@ -168,7 +171,7 @@ class TestPreparedPlayers:
             return real(x, y, w, **kwargs)
 
         monkeypatch.setattr(roster, "permutation_test", counted)
-        monkeypatch.setattr(roster, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda n: _SerialPool([], n))
         monkeypatch.setattr(roster.os, "cpu_count", lambda: 2)
         m = ps.compute_matrix(five, weights, n_perm=N_PERM, master_seed=MASTER_SEED,
@@ -455,7 +458,7 @@ class TestPairSeed:
             raise AssertionError("a pair test or pool started")
 
         monkeypatch.setattr(roster, "_prepare", refuse)
-        monkeypatch.setattr(roster, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         want = rf"master seed must be in \[0, 2\*\*64\), got {master}$"
         for call in (lambda: ps.pair_seed(master, "a", "b"),
                      lambda: ps.pair_test(five[0], five[1], weights, master_seed=master),
