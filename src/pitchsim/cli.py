@@ -15,16 +15,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PitchsimError, UnknownPlayer
-from .grid import DEFAULT_EXTENT, SCHEMES, PitchGrid, adjacency, build_grid
+from .grid import DEFAULT_EXTENT, SCHEMES, PitchGrid, adjacency, build_grid, check_scheme
 from .heatmap import (
+    check_bandwidth,
     heatmap_from_json,
     heatmap_to_json,
     normalize,
     parse_activity_groups,
     rasterize,
 )
-# unused here; perfbench/tracer.py wraps cli.permutation_test by name
-from .stats import permutation_test
+# permutation_test is unused here; perfbench/tracer.py wraps cli.permutation_test by name
+from .stats import check_n_perm, permutation_test
 from .svg import bar_chart_svg, heatmap_svg, matrix_svg
 
 HISTOGRAM_BINS = 20
@@ -43,70 +44,76 @@ class RunConfig:
     out: Path = Path("out")
 
     def validate(self) -> None:
+        # cut's and workers' rules are restated: cluster and roster load only when run
         PitchGrid(self.rows, self.cols)  # the grid-size rule
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be {' or '.join(SCHEMES)}, got {self.scheme!r}")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
-        if self.n_perm < 1:
-            raise ValueError(f"n-perm must be >= 1, got {self.n_perm}")
+        check_scheme(self.scheme)
+        check_bandwidth(self.bandwidth)
+        check_n_perm(self.n_perm, "n-perm")
         if not (math.isfinite(self.cut) and self.cut >= 0):
             raise ValueError(f"cut must be finite and >= 0, got {self.cut}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
-def read_config_file(path) -> dict:
-    """Parse a key=value config file; '#' starts a comment."""
-    values = {}
-    types = {f.name: type(f.default) for f in fields(RunConfig)}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+# each setting's type converts its flag and its config-file value alike
+_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+def _raw_settings(args: argparse.Namespace):
+    """(key, value, where it was set) of each config-file line, then of each flag
+    given; ``--config`` names a file of key=value lines, where '#' starts a comment."""
+    path = args.config
+    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip().replace("-", "_"), value.strip()
-        if key not in types:
+        key = key.strip().replace("-", "_")
+        if key not in _TYPES:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            values[key] = types[key](value)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: invalid value for {key!r}: {value!r}") from None
-    return values
+        yield key, value.strip(), f"{path}:{lineno}"
+    for key in _TYPES:
+        if getattr(args, key) is not None:
+            yield key, getattr(args, key), f"--{key.replace('_', '-')}"
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file values, and explicit flags (flags win)."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in read_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            setattr(cfg, f.name, flag_value)
-    cfg.out = Path(cfg.out)
+    values = {}
+    for key, value, where in _raw_settings(args):
+        try:
+            values[key] = _TYPES[key](value)
+        except ValueError:
+            raise ValueError(f"{where}: invalid value for {key!r}: {value!r}") from None
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file (flags take precedence)")
-    parser.add_argument("--rows", type=int, help="grid rows across the field width")
-    parser.add_argument("--cols", type=int, help="grid columns along the field length")
-    parser.add_argument("--scheme", choices=SCHEMES, help="contiguity scheme")
-    parser.add_argument("--bandwidth", type=float, help="kernel bandwidth in field units")
-    parser.add_argument("--n-perm", type=int, dest="n_perm", help="permutations per test")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--cut", type=float, help="dendrogram cut height")
-    parser.add_argument("--workers", type=int, help="parallel workers for pairwise tests")
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument("--rows", help="grid rows across the field width")
+    parser.add_argument("--cols", help="grid columns along the field length")
+    parser.add_argument("--scheme", help=f"contiguity scheme: {' or '.join(SCHEMES)}")
+    parser.add_argument("--bandwidth", help="kernel bandwidth in field units")
+    parser.add_argument("--n-perm", help="permutations per test")
+    parser.add_argument("--seed", help="master seed")
+    parser.add_argument("--cut", help="dendrogram cut height")
+    parser.add_argument("--workers", help="parallel workers for pairwise tests")
+    parser.add_argument("--out", help="output directory")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one error: line and exit 1, as every other refusal, not usage and exit 2
+        raise PitchsimError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pitchsim",
         description="Spatial similarity of player heatmaps on a shared pitch lattice.",
     )
@@ -305,8 +312,8 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = build_config(args)
         if args.command == "rasterize":
             return cmd_rasterize(cfg, args.csv_paths)

@@ -138,37 +138,24 @@ def complete_linkage(d, ids) -> Dendrogram:
 
 
 def cut(dend: Dendrogram, height: float) -> list[int]:
-    """Flat clusters from merges with height <= the cut height.
+    """Flat clusters from merges with height <= the cut height, which must be
+    finite and >= 0.
 
     Returns one label per leaf. Clusters are numbered 1..m in order of
     their smallest member leaf number.
     """
-    if not height >= 0:
-        raise ValueError(f"cut height must be >= 0, got {height}")
+    if not 0 <= height < float("inf"):
+        raise ValueError(f"cut height must be finite and >= 0, got {height}")
     k = dend.n_leaves
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    # heights are non-decreasing, so merges below the cut form a prefix
-    node_root = list(range(k))
-    for m in dend.merges:
+    # the leaves under each node not yet merged; heights are non-decreasing,
+    # so merges at or below the cut form a prefix
+    members = {leaf: [leaf] for leaf in range(k)}
+    for node, m in enumerate(dend.merges, start=k):
         if m.height > height:
             break
-        ra, rb = find(node_root[m.left]), find(node_root[m.right])
-        parent[rb] = ra
-        node_root.append(ra)
-
-    groups: dict[int, list[int]] = {}
-    for leaf in range(k):
-        groups.setdefault(find(leaf), []).append(leaf)
-    ordered = sorted(groups.values(), key=min)
+        members[node] = members.pop(m.left) + members.pop(m.right)
     labels = [0] * k
-    for label, group in enumerate(ordered, start=1):
+    for label, group in enumerate(sorted(members.values(), key=min), start=1):
         for leaf in group:
             labels[leaf] = label
     return labels

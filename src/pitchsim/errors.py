@@ -22,7 +22,7 @@ class EmptyInput(PitchsimError):
 
 
 class NonpositiveBandwidth(PitchsimError):
-    """Kernel bandwidth must be strictly positive."""
+    """Kernel bandwidth must be finite and strictly positive."""
 
 
 class ZeroMass(PitchsimError):

@@ -23,6 +23,12 @@ DEFAULT_EXTENT = (0.0, 0.0, 100.0, 100.0)
 SCHEMES = ("rook", "queen")
 
 
+def check_scheme(scheme) -> None:
+    """The contiguity-scheme rule: one of ``SCHEMES``."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be {' or '.join(SCHEMES)}, got {scheme!r}")
+
+
 @dataclass(frozen=True)
 class PitchGrid:
     """Regular lattice over the field, row-major flat indexing.
@@ -175,10 +181,10 @@ def adjacency(grid: PitchGrid, scheme: str = "queen") -> WeightsMatrix:
     """Binary contiguity weights for the grid, recording it as their ``grid``.
 
     ``rook`` joins cells sharing an edge; ``queen`` additionally joins cells
-    sharing only a corner. The result is symmetric with zero diagonal.
+    sharing only a corner; any other ``scheme`` is refused. The result is
+    symmetric with zero diagonal.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    check_scheme(scheme)
     # lattice steps in ascending order of their flat offset dr * cols + dc
     # (|dc| < cols), so each cell's neighbours come out in ascending order
     dr, dc = np.array([(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1)

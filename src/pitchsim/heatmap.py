@@ -261,6 +261,12 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
             stream.close()
 
 
+def check_bandwidth(bandwidth) -> None:
+    """The bandwidth rule: finite and > 0."""
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise NonpositiveBandwidth(f"bandwidth must be finite and > 0, got {bandwidth}")
+
+
 def _axis_factor(p: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:
     """``exp(-a (p_i - c_j)²)`` as a (len(p), len(c)) array, built in one buffer."""
     k = np.subtract.outer(p, c)
@@ -296,7 +302,7 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
         If ``points`` is not of shape ``(m, 3)``, or a row has a non-finite
         field or a negative value.
     NonpositiveBandwidth
-        If ``bandwidth`` is not > 0 (NaN included).
+        If ``bandwidth`` is not finite and > 0.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
@@ -308,8 +314,7 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
         i = int(np.argmax(bad))
         raise ValueError(f"points row {i} has a non-finite field or a negative value: "
                          f"{tuple(points[i].tolist())}")
-    if not bandwidth > 0:
-        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
+    check_bandwidth(bandwidth)
     h = max(float(bandwidth), MIN_BANDWIDTH)
 
     m = len(points)

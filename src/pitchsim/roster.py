@@ -17,7 +17,14 @@ import numpy as np
 from .errors import GridMismatch, ZeroVariance
 from .grid import WeightsMatrix
 from .heatmap import Heatmap
-from .stats import PreparedCells, TestResult, permutation_test, prepare_cells
+from .stats import (
+    PreparedCells,
+    TestResult,
+    check_n_perm,
+    check_seed,
+    permutation_test,
+    prepare_cells,
+)
 
 __all__ = [
     "RosterMatrix",
@@ -56,13 +63,8 @@ def pair_seed(master_seed: int, a, b) -> int:
     therefore seed like their decimal strings. ``master_seed`` must be an
     int in [0, 2**64).
     """
-    _check_seed(master_seed)
+    check_seed(master_seed, "master seed")
     return _seed(master_seed, _digest(a), _digest(b))
-
-
-def _check_seed(master_seed: int) -> None:
-    if not 0 <= operator.index(master_seed) < 1 << 64:
-        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
 
 
 def _digest(pid) -> int:
@@ -86,8 +88,13 @@ class _Player:
 
 
 def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[_Player]:
-    """Each player's half of every pair test on ``w``; the one place the
-    per-player rules (on the grid ``w`` was built on, normalized, not constant) are checked."""
+    """Each player's half of every pair test on ``w``; the one place the per-player
+    rules (a distinct id, on the grid of ``w``, normalized, not constant) are checked."""
+    seen = set()
+    for h in heatmaps:
+        if h.player_id in seen:
+            raise ValueError(f"duplicate player id {h.player_id!r}")
+        seen.add(h.player_id)
     players = []
     for h in heatmaps:
         if h.grid != w.grid:
@@ -120,10 +127,13 @@ def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
     is therefore the same for (a, b) and (b, a), and in any roster that
     holds the pair. ``w`` must come from :func:`~pitchsim.grid.adjacency` on
     the heatmaps' own grid. It refuses the same heatmaps and weights as
-    :func:`compute_matrix`, with the same errors.
+    :func:`compute_matrix`, with the same errors, two heatmaps that share a
+    player id included; one heatmap passed twice is its self-test.
     """
-    _check_seed(master_seed)
-    return _test(*_prepare([a, b], w), n_perm, master_seed)
+    check_seed(master_seed, "master seed")
+    check_n_perm(n_perm)
+    players = _prepare([a] if a is b else [a, b], w)
+    return _test(players[0], players[-1], n_perm, master_seed)
 
 
 def _pair(players, n_perm, master_seed, pair: tuple[int, int]) -> tuple[int, int, TestResult]:
@@ -159,19 +169,20 @@ def compute_matrix(
         :func:`~pitchsim.grid.adjacency`; ``from_pairs`` weights are on none.
     ZeroVariance
         Naming the first player whose heatmap is constant.
+    InsufficientPermutations
+        If ``n_perm`` < 1, before any player is prepared or pool started.
     ValueError
         If fewer than 2 heatmaps, two heatmaps share a player id, any
-        heatmap is not normalized, or ``master_seed`` is outside [0, 2**64).
+        heatmap is not normalized, ``master_seed`` is outside [0, 2**64), or
+        ``workers`` is below 1.
     """
-    _check_seed(master_seed)
+    check_seed(master_seed, "master seed")
+    check_n_perm(n_perm)
+    if operator.index(workers) < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     k = len(heatmaps)
     if k < 2:
         raise ValueError(f"need at least 2 heatmaps, got {k}")
-    seen = set()
-    for h in heatmaps:
-        if h.player_id in seen:
-            raise ValueError(f"duplicate player id {h.player_id!r}")
-        seen.add(h.player_id)
     players = _prepare(heatmaps, w)
 
     pairs = [(i, j) for i in range(k) for j in range(i, k)]

@@ -15,6 +15,7 @@ as drawn, so memory per test is O(chunk * n) for any n_perm.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import permutations as iter_permutations
 
@@ -42,8 +43,6 @@ __all__ = [
 
 # n! enumeration cap for the exact test (8! = 40320)
 EXACT_MAX_CELLS = 8
-
-_MASK64 = (1 << 64) - 1
 
 # permutations drawn per chunk of the stream
 _PERM_CHUNK = 1024
@@ -81,6 +80,18 @@ class TestResult:
     p_value: float
     z_score: float
     seed: int
+
+
+def check_n_perm(n_perm, name: str = "n_perm") -> None:
+    """The permutation-count rule: an int >= 1; the error names ``name``."""
+    if operator.index(n_perm) < 1:
+        raise InsufficientPermutations(f"{name} must be >= 1, got {n_perm}")
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """The seed rule: an int in [0, 2**64); the error names ``name``."""
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
 
 
 def _as_vector(values, n: int, name: str) -> np.ndarray:
@@ -248,11 +259,13 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     ------
     InsufficientPermutations
         If ``n_perm`` < 1.
+    ValueError
+        If ``seed`` is outside [0, 2**64).
     """
-    if n_perm < 1:
-        raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
+    check_n_perm(n_perm)
+    check_seed(seed)
     x, y = _prepared(x, y, w)
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    gen = np.random.Generator(np.random.Philox(key=int(seed)))
     # chunks continue one stream, so the draws ignore the chunk size; a
     # shuffle's swaps ignore the values moved, so each row is y.vc[pi] exactly
     rows = min(_PERM_CHUNK, n_perm)

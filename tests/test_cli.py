@@ -680,6 +680,57 @@ class TestConfig:
             assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
+    # one case per setting rule, and one per type conversion: (setting, refused
+    # value, error line); None stands for the conversion's message
+    REFUSALS = [
+        ("rows", "2.5", None),
+        ("rows", "1", "grid must be at least 2x2, got 1x20"),
+        ("scheme", "hex", "scheme must be rook or queen, got 'hex'"),
+        ("bandwidth", "inf", "bandwidth must be finite and > 0, got inf"),
+        ("n-perm", "abc", None),
+        ("n-perm", "0", "n-perm must be >= 1, got 0"),
+        ("seed", "-1", "master seed must be in [0, 2**64), got -1"),
+        ("cut", "nan", "cut must be finite and >= 0, got nan"),
+        ("workers", "0", "workers must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("setting, value, message", REFUSALS)
+    def test_flag_and_config_value_refused_alike(self, five_heatmap_dir, tmp_path, capsys,
+                                                 setting, value, message, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{setting}={value}\n", encoding="utf-8")
+        opts = [f"--{setting}", value] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert main(["cluster", *_heatmap_args(five_heatmap_dir), *opts,
+                     "--out", str(out)]) == 1
+        if message is None:
+            where = f"--{setting}" if source == "flag" else f"{cfg}:1"
+            message = f"{where}: invalid value for {setting.replace('-', '_')!r}: {value!r}"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["cluster", "HEATMAPS", "--bogus"], "unrecognized arguments: --bogus"),
+        (["cluster", "HEATMAPS", "--rows"], "argument --rows: expected one argument"),
+        (["cluster"], "the following arguments are required: HEATMAP_JSON"),
+        (["compare", "mid_a"], "the following arguments are required: player_b"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+    ])
+    def test_argparse_refusal_is_one_error_line(self, five_heatmap_dir, tmp_path, capsys,
+                                                args, message):
+        out = tmp_path / "o"
+        paths = _heatmap_args(five_heatmap_dir)
+        argv = [a for arg in args for a in (paths if arg == "HEATMAPS" else [arg])]
+        assert main([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_installed_entry_point(self, tmp_path):
         # Run the declared console-script target the way pip's generated
         # wrapper does, against the same package the suite imported, so the

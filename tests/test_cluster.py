@@ -276,6 +276,48 @@ class TestCut:
         with pytest.raises(ValueError, match=">= 0, got nan"):
             ps.cut(dend, float("nan"))
 
+    def test_infinite_height_rejected(self, dend):
+        with pytest.raises(ValueError, match=r"^cut height must be finite and >= 0, got inf$"):
+            ps.cut(dend, float("inf"))
+
+
+class TestCutDefinition:
+    """Two leaves share a label exactly when their first common merge is at
+    or below the cut, and labels number the clusters by their least leaf."""
+
+    KINDS = ["random", "floor-saturated", "all equal"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
+    def test_labels_follow_first_common_merges(self, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            d = _random_distance(rng, k)
+        else:
+            levels = np.array([0.001, 0.001, 0.001, 0.5, 1.0] if kind == "floor-saturated"
+                              else [0.5])
+            d = levels[rng.integers(0, len(levels), (k, k))]
+            d = np.maximum(d, d.T)
+            np.fill_diagonal(d, 0.0)
+        dend = ps.complete_linkage(d, _ids(k))
+        # height of each pair's first common merge, from the merge list alone
+        first = {}
+        members = [[leaf] for leaf in range(k)]
+        for m in dend.merges:
+            for i in members[m.left]:
+                for j in members[m.right]:
+                    first[frozenset((i, j))] = m.height
+            members.append(members[m.left] + members[m.right])
+        heights = [m.height for m in dend.merges]
+        cuts = {0.0, 2.0, *heights, *(np.nextafter(h, 0.0) for h in heights)}
+        for h in sorted(cuts):
+            labels = ps.cut(dend, float(h))
+            for pair, height in first.items():
+                i, j = sorted(pair)
+                assert (labels[i] == labels[j]) == (height <= h)
+            least = [labels.index(label) for label in range(1, max(labels) + 1)]
+            assert least == sorted(least) and set(labels) == set(range(1, len(least) + 1))
+
 
 class TestNewick:
     def test_two_leaf_shape(self):

@@ -479,6 +479,12 @@ class TestRasterize:
         with pytest.raises(NonpositiveBandwidth):
             ps.rasterize(pts, g, float("nan"))
 
+    def test_infinite_bandwidth_rejected(self):
+        # an infinite bandwidth gives all-zero cells, which the CLI refuses
+        with pytest.raises(NonpositiveBandwidth,
+                           match=r"^bandwidth must be finite and > 0, got inf$"):
+            ps.rasterize([(50.0, 50.0, 1.0)], ps.build_grid(2, 2), float("inf"))
+
 
 class TestNormalize:
     def test_quarter_quarter_half(self):

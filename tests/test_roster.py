@@ -14,7 +14,7 @@ import pytest
 
 import pitchsim as ps
 from pitchsim import roster
-from pitchsim.errors import GridMismatch, ZeroVariance
+from pitchsim.errors import GridMismatch, InsufficientPermutations, ZeroVariance
 
 from oracles import lee_formula
 from rosters import (
@@ -291,6 +291,36 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least 2"):
             ps.compute_matrix([a], weights, n_perm=9)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, five, weights, workers):
+        with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {workers}$"):
+            ps.compute_matrix(five, weights, n_perm=9, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.5])
+    def test_non_int_workers_rejected(self, monkeypatch, five, weights, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with pytest.raises(TypeError):
+            ps.compute_matrix(five, weights, n_perm=9, workers=workers)
+
+    @pytest.mark.parametrize("n_perm, error", [
+        (0, InsufficientPermutations),
+        (99.0, TypeError),
+    ])
+    def test_bad_count_rejected_before_any_work(self, monkeypatch, five, weights,
+                                                n_perm, error):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(roster, "_prepare", refuse)
+        with pytest.raises(error):
+            ps.compute_matrix(five, weights, n_perm=n_perm, workers=2)
+        with pytest.raises(error):
+            ps.pair_test(five[0], five[1], weights, n_perm=n_perm)
+
 
 def _refusal(call):
     with pytest.raises(Exception) as info:
@@ -308,6 +338,7 @@ class TestPairTestValidation:
         ("weights from pairs", GridMismatch),
         ("unnormalized", ValueError),
         ("constant", ZeroVariance),
+        ("shared id", ValueError),
     ])
     def test_same_refusal_as_compute_matrix(self, grid, weights, case, error):
         rng = np.random.default_rng(6)
@@ -325,6 +356,8 @@ class TestPairTestValidation:
             w = ps.WeightsMatrix.from_pairs(grid.n, np.argwhere(weights.to_dense()))
         elif case == "unnormalized":
             b = ps.rasterize([(60.0, 60.0, 1.0)], grid, 5.0, player_id="b")
+        elif case == "shared id":
+            b = blob_heatmap(rng, "a", 60.0, 60.0, 9.0, grid)
         else:
             b = ps.Heatmap(player_id="b", grid=grid,
                            cells=np.full(grid.n, 1.0 / grid.n), normalized=True)
@@ -478,6 +511,13 @@ class TestPairTest:
         want = ps.permutation_test(gk.cells, mid_b.cells, weights, n_perm=N_PERM,
                                    seed=ps.pair_seed(MASTER_SEED, "gk", "mid_b"))
         assert res == want
+
+    def test_one_heatmap_twice_is_its_self_test(self, five, weights, five_matrix):
+        # compare mid_a mid_a passes one heatmap twice: that is no shared id
+        for i, h in enumerate(five):
+            res = ps.pair_test(h, h, weights, n_perm=N_PERM, master_seed=MASTER_SEED)
+            assert (res.p_value, res.statistic) == \
+                (five_matrix.pseudo_distance[i, i], five_matrix.statistic[i, i])
 
     def test_shuffled_roster_permutes_the_matrix(self, five, weights, five_matrix):
         order = [4, 2, 0, 3, 1]

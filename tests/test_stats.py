@@ -327,6 +327,29 @@ class TestPermutationTest:
         with pytest.raises(InsufficientPermutations):
             ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=0)
 
+    @pytest.mark.parametrize("n_perm, seed", [(99.0, 0), (99, 1.5)])
+    def test_non_int_count_or_seed_rejected_before_any_work(self, monkeypatch, n_perm, seed):
+        # refused before the cells are prepared, not run as the seed's int part
+        def refuse(*args):
+            raise AssertionError("the cells were prepared")
+
+        monkeypatch.setattr(stats, "_prepared", refuse)
+        with pytest.raises(TypeError):
+            ps.permutation_test(CHECKER_2X2, CHECKER_2X2, _rook(2, 2), n_perm=n_perm, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # a seed masked to 64 bits would run one seed and report another
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            ps.permutation_test(CHECKER_2X2, CHECKER_2X2, _rook(2, 2), n_perm=9, seed=seed)
+
+    def test_seeds_at_the_ends_of_the_range_run_and_are_reported(self):
+        w = _queen(3, 3)
+        x, y = np.random.default_rng(2).normal(size=(2, 9))
+        for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1)):
+            res = ps.permutation_test(x, y, w, n_perm=9, seed=seed)
+            assert type(res.seed) is int and res.seed == int(seed)
+
 
 class TestRelabeledCells:
     """The chunks are the permuted cells themselves, drawn without indices:
