@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PitchsimError, UnknownPlayer
-from .grid import DEFAULT_EXTENT, SCHEMES, PitchGrid, adjacency, build_grid, check_scheme
+from .grid import DEFAULT_EXTENT, SCHEMES, adjacency, build_grid
 from .heatmap import (
     check_bandwidth,
     heatmap_from_json,
@@ -25,7 +25,7 @@ from .heatmap import (
     rasterize,
 )
 # permutation_test is unused here; perfbench/tracer.py wraps cli.permutation_test by name
-from .stats import check_n_perm, permutation_test
+from .stats import permutation_test
 from .svg import bar_chart_svg, heatmap_svg, matrix_svg
 
 HISTOGRAM_BINS = 20
@@ -43,27 +43,29 @@ class RunConfig:
     workers: int = 1
     out: Path = Path("out")
 
-    def validate(self) -> None:
-        # cut's and workers' rules are restated: cluster and roster load only when run
-        PitchGrid(self.rows, self.cols)  # the grid-size rule
-        check_scheme(self.scheme)
-        check_bandwidth(self.bandwidth)
-        check_n_perm(self.n_perm, "n-perm")
-        if not (math.isfinite(self.cut) and self.cut >= 0):
-            raise ValueError(f"cut must be finite and >= 0, got {self.cut}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
 
 # each setting's type converts its flag and its config-file value alike
 _TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+_HELP = {
+    "rows": "grid rows across the field width",
+    "cols": "grid columns along the field length",
+    "scheme": f"contiguity scheme: {' or '.join(SCHEMES)}",
+    "bandwidth": "kernel bandwidth in field units",
+    "n_perm": "permutations per test",
+    "seed": "master seed",
+    "cut": "dendrogram cut height",
+    "workers": "parallel workers for pairwise tests",
+    "out": "output directory",
+}
 
 
 def _raw_settings(args: argparse.Namespace):
     """(key, value, where it was set) of each config-file line, then of each flag
     given; ``--config`` names a file of key=value lines, where '#' starts a comment."""
-    path = args.config
-    lines = Path(path).read_text(encoding="utf-8").splitlines() if path else []
+    # the command's parser defines (as None) exactly the settings it takes
+    path, keys = args.config, [key for key in _TYPES if key in vars(args)]
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines() if path else []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,10 +74,10 @@ def _raw_settings(args: argparse.Namespace):
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _TYPES:
+        if key not in keys:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         yield key, value.strip(), f"{path}:{lineno}"
-    for key in _TYPES:
+    for key in keys:
         if getattr(args, key) is not None:
             yield key, getattr(args, key), f"--{key.replace('_', '-')}"
 
@@ -88,22 +90,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             values[key] = _TYPES[key](value)
         except ValueError:
             raise ValueError(f"{where}: invalid value for {key!r}: {value!r}") from None
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_settings(parser: argparse.ArgumentParser, *keys: str) -> None:
+    # a setting's bad values are refused by the library function that reads it
     parser.add_argument("--config", help="key=value config file (flags take precedence)")
-    parser.add_argument("--rows", help="grid rows across the field width")
-    parser.add_argument("--cols", help="grid columns along the field length")
-    parser.add_argument("--scheme", help=f"contiguity scheme: {' or '.join(SCHEMES)}")
-    parser.add_argument("--bandwidth", help="kernel bandwidth in field units")
-    parser.add_argument("--n-perm", help="permutations per test")
-    parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--cut", help="dendrogram cut height")
-    parser.add_argument("--workers", help="parallel workers for pairwise tests")
-    parser.add_argument("--out", help="output directory")
+    for key in keys:
+        parser.add_argument(f"--{key.replace('_', '-')}", help=_HELP[key])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,18 +114,19 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rast = sub.add_parser("rasterize", help="turn activity CSVs into heatmap JSON + SVG")
-    _add_common(p_rast)
+    _add_settings(p_rast, "rows", "cols", "bandwidth", "out")
     p_rast.add_argument("csv_paths", nargs="+", metavar="CSV")
 
     p_cmp = sub.add_parser("compare", help="test one pair of players")
-    _add_common(p_cmp)
+    _add_settings(p_cmp, "rows", "cols", "scheme", "n_perm", "seed")
     p_cmp.add_argument("player_a")
     p_cmp.add_argument("player_b")
     p_cmp.add_argument("heatmap_paths", nargs="+", metavar="HEATMAP_JSON")
     p_cmp.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_clu = sub.add_parser("cluster", help="pairwise matrix, dendrogram, and clusters")
-    _add_common(p_clu)
+    _add_settings(p_clu, "rows", "cols", "scheme", "n_perm", "seed", "cut", "workers",
+                  "out")
     p_clu.add_argument("heatmap_paths", nargs="+", metavar="HEATMAP_JSON")
     return parser
 
@@ -172,7 +167,7 @@ def _load_heatmaps(paths, cfg: RunConfig):
     seen = set()
     for path in paths:
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
             h = heatmap_from_json(doc, extent=DEFAULT_EXTENT)
         except (PitchsimError, ValueError, RecursionError) as exc:
             # json.loads recurses once per nesting level
@@ -191,6 +186,7 @@ def _load_heatmaps(paths, cfg: RunConfig):
 
 def cmd_rasterize(cfg: RunConfig, csv_paths: list[str]) -> int:
     grid = build_grid(cfg.rows, cfg.cols)
+    check_bandwidth(cfg.bandwidth)
     files: dict[str, str] = {}
     owners: dict[str, tuple[str, str]] = {}  # slug -> (player id, csv path)
     total_drops = 0
@@ -222,11 +218,11 @@ def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
                 as_json: bool = False) -> int:
     from . import roster as rm
 
+    w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
     heatmaps = {h.player_id: h for h in _load_heatmaps(heatmap_paths, cfg)}
     for pid in (player_a, player_b):
         if pid not in heatmaps:
             raise UnknownPlayer(f"player {pid!r} not found; have {sorted(heatmaps)}")
-    w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
     res = rm.pair_test(heatmaps[player_a], heatmaps[player_b], w,
                        n_perm=cfg.n_perm, master_seed=cfg.seed)
     if as_json:
@@ -254,13 +250,10 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
     from . import cluster as hc
     from . import roster as rm
 
-    heatmaps = _load_heatmaps(heatmap_paths, cfg)
-    if len(heatmaps) < 2:
-        raise PitchsimError("cluster needs at least 2 players")
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
-    matrix = rm.compute_matrix(
-        heatmaps, w, n_perm=cfg.n_perm, master_seed=cfg.seed, workers=cfg.workers
-    )
+    hc.check_cut(cfg.cut)
+    matrix = rm.compute_matrix(_load_heatmaps(heatmap_paths, cfg), w, n_perm=cfg.n_perm,
+                               master_seed=cfg.seed, workers=cfg.workers)
 
     # after compute_matrix, which refuses a bad seed: a refused run prints one error line
     if math.isclose(cfg.cut, 1.0 / (cfg.n_perm + 1)):
@@ -324,8 +317,9 @@ def main(argv=None) -> int:
         if args.command == "cluster":
             return cmd_cluster(cfg, args.heatmap_paths)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except (PitchsimError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PitchsimError, ValueError, OSError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make; a bare one is empty
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

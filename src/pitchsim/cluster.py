@@ -137,6 +137,12 @@ def complete_linkage(d, ids) -> Dendrogram:
     return Dendrogram(ids, tuple(merges))
 
 
+def check_cut(height) -> None:
+    """The cut-height rule: finite and >= 0."""
+    if not 0 <= height < float("inf"):
+        raise ValueError(f"cut height must be finite and >= 0, got {height}")
+
+
 def cut(dend: Dendrogram, height: float) -> list[int]:
     """Flat clusters from merges with height <= the cut height, which must be
     finite and >= 0.
@@ -144,8 +150,7 @@ def cut(dend: Dendrogram, height: float) -> list[int]:
     Returns one label per leaf. Clusters are numbered 1..m in order of
     their smallest member leaf number.
     """
-    if not 0 <= height < float("inf"):
-        raise ValueError(f"cut height must be finite and >= 0, got {height}")
+    check_cut(height)
     k = dend.n_leaves
     # the leaves under each node not yet merged; heights are non-decreasing,
     # so merges at or below the cut form a prefix

@@ -82,10 +82,10 @@ class TestResult:
     seed: int
 
 
-def check_n_perm(n_perm, name: str = "n_perm") -> None:
-    """The permutation-count rule: an int >= 1; the error names ``name``."""
+def check_n_perm(n_perm) -> None:
+    """The permutation-count rule: an int >= 1."""
     if operator.index(n_perm) < 1:
-        raise InsufficientPermutations(f"{name} must be >= 1, got {n_perm}")
+        raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
 
 
 def check_seed(seed, name: str = "seed") -> None:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import pitchsim as ps
+from pitchsim import cli, roster
 from pitchsim.cli import main
 
 from rosters import (
@@ -74,6 +76,23 @@ def five_heatmap_dir(tmp_path_factory):
 def _heatmap_args(directory):
     return [str(directory / f"heatmap_{pid}.json")
             for pid, _, _, _ in FIVE_PLAYER_ROLES]
+
+
+COMMANDS = ("rasterize", "compare", "cluster")
+
+
+def _command_argv(command, heatmap_dir, tmp_path):
+    """A run of ``command`` that succeeds at the default settings, and the output
+    directory it writes (which ``compare`` never does)."""
+    out = tmp_path / "o"
+    if command == "rasterize":
+        csv_dir = tmp_path / "csv"
+        csv_dir.mkdir(exist_ok=True)
+        return ["rasterize", *map(str, _five_player_csvs(csv_dir)), "--out", str(out)], out
+    paths = _heatmap_args(heatmap_dir)
+    if command == "compare":
+        return ["compare", "mid_a", "gk", *paths, "--json"], out
+    return ["cluster", *paths, "--out", str(out)], out
 
 
 class TestRasterize:
@@ -149,6 +168,27 @@ class TestRasterize:
         assert main(["rasterize", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    # what numpy says on a 100000x100000 grid; a bare MemoryError has no message
+    ALLOCATION = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                  "and data type float64")
+
+    @pytest.mark.parametrize("exc, message", [(MemoryError(ALLOCATION), ALLOCATION),
+                                              (MemoryError(), "MemoryError")])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                             exc, message):
+        # a kernel sum that raises stands in for a grid too large to allocate, so
+        # nothing big is allocated here
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "rasterize", out_of_memory)
+        argv, out = _command_argv("rasterize", None, tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("other", ["a_b", "a/b", "a  b", "_a b_"])
     def test_colliding_file_names_fail(self, tmp_path, capsys, other):
@@ -264,6 +304,19 @@ class TestCompare:
                      *_heatmap_args(five_heatmap_dir)]) == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_heatmap_with_byte_order_mark_reads_as_without(self, five_heatmap_dir,
+                                                           tmp_path, capsys):
+        paths = _heatmap_args(five_heatmap_dir)
+        marked = tmp_path / "heatmap_gk.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(paths[0]).read_bytes())
+        outputs = []
+        for gk in (paths[0], str(marked)):
+            assert main(["compare", "gk", "fwd", gk, *paths[1:], "--json"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
 
 class TestConstantHeatmap:
     # on 2x7 the mean of fourteen cells of 1/14 rounds away from 1/14, so
@@ -283,12 +336,12 @@ class TestConstantHeatmap:
                                         "cells": cells, "normalized": True}),
                             encoding="utf-8")
             paths.append(str(path))
-        argv = [command, *paths, "--rows", str(rows), "--cols", str(cols),
-                "--out", str(tmp_path / "o")]
+        argv = [command, *paths, "--rows", str(rows), "--cols", str(cols)]
         if command == "compare":
             argv[1:1] = ["ramp", "flat"]
         else:
-            argv += ["--cut", "0.5"]  # the default cut warns about the p floor
+            # the default cut warns about the p floor
+            argv += ["--cut", "0.5", "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: player 'flat' has a constant heatmap"]
@@ -524,7 +577,7 @@ class TestCluster:
         out = tmp_path / "o"
         assert main(["cluster", _heatmap_args(five_heatmap_dir)[0], "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: cluster needs at least 2 players\n"
+        assert captured.err == "error: need at least 2 heatmaps, got 1\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -547,9 +600,11 @@ class TestMalformedHeatmap:
         mangle(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
-        argv = [command, str(bad), *paths[1:], "--out", str(tmp_path / "o")]
+        argv = [command, str(bad), *paths[1:]]
         if command == "compare":
             argv[1:1] = ["gk", "fwd"]
+        else:
+            argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -570,9 +625,11 @@ class TestMalformedHeatmap:
         bad = tmp_path / "deep.json"
         bad.write_text("[" * 100_000, encoding="utf-8")
         paths = _heatmap_args(five_heatmap_dir)
-        argv = [command, str(bad), *paths, "--out", str(tmp_path / "o")]
+        argv = [command, str(bad), *paths]
         if command == "compare":
             argv[1:1] = ["gk", "fwd"]
+        else:
+            argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
@@ -627,6 +684,18 @@ class TestConfig:
         assert doc["cols"] == 10      # config beats default
         assert len(doc["cells"]) == 80
 
+    def test_config_file_with_byte_order_mark_applies(self, tmp_path):
+        rng = np.random.default_rng(5)
+        _write_csv(tmp_path / "p.csv",
+                   [("p1", p) for p in blob_points(rng, 50.0, 50.0, 10.0, n=25)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfrows=7\ncols=10\n")
+        out = tmp_path / "out"
+        assert main(["rasterize", str(tmp_path / "p.csv"), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "heatmap_p1.json").read_text())
+        assert (doc["rows"], doc["cols"]) == (7, 10)
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("rowz=7\n", encoding="utf-8")
@@ -642,25 +711,28 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {cfg}:2: invalid value for 'rows': 'abc'"]
 
-    def test_invalid_values_fail_validation(self, tmp_path, capsys):
-        assert main(["rasterize", "x.csv", "--rows", "1",
-                     "--out", str(tmp_path / "o")]) == 1
+    def test_invalid_values_fail_validation(self, five_heatmap_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["rasterize", "x.csv", "--rows", "1", "--out", str(out)]) == 1
         assert "at least 2x2" in capsys.readouterr().err
-        assert main(["rasterize", "x.csv", "--n-perm", "0",
-                     "--out", str(tmp_path / "o")]) == 1
-        assert "n-perm" in capsys.readouterr().err
-        # non-finite bandwidth and cut, as a flag and in a config file
+        paths = _heatmap_args(five_heatmap_dir)
+        for argv in (["compare", "mid_a", "gk", *paths], ["cluster", *paths, "--out", str(out)]):
+            assert main([*argv, "--n-perm", "0"]) == 1
+            assert "n_perm must be >= 1" in capsys.readouterr().err
+        # non-finite bandwidth and cut, as a flag and in a config file, on the
+        # command that reads each; both are refused before the input is read
         cfg = tmp_path / "run.cfg"
-        for key, value in (("bandwidth", "nan"), ("bandwidth", "inf"),
-                           ("cut", "nan"), ("cut", "inf")):
+        for command, key, value in (("rasterize", "bandwidth", "nan"),
+                                    ("rasterize", "bandwidth", "inf"),
+                                    ("cluster", "cut", "nan"), ("cluster", "cut", "inf")):
             cfg.write_text(f"{key}={value}\n", encoding="utf-8")
             for opts in ([f"--{key}", value], ["--config", str(cfg)]):
-                assert main(["cluster", "x.json", *opts,
-                             "--out", str(tmp_path / "o")]) == 1
+                assert main([command, "x.input", *opts, "--out", str(out)]) == 1
                 err = capsys.readouterr().err.splitlines()
-                assert err == [f"error: {key} must be finite and "
-                               f"{'> 0' if key == 'bandwidth' else '>= 0'}, got {value}"]
-        assert not (tmp_path / "o").exists()
+                assert err == [f"error: bandwidth must be finite and > 0, got {value}"
+                               if key == "bandwidth" else
+                               f"error: cut height must be finite and >= 0, got {value}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     @pytest.mark.parametrize("command", ["compare", "cluster"])
@@ -670,40 +742,44 @@ class TestConfig:
         # cluster runs at the default cut, on the p-value floor: the refused
         # seed still ends the run before the floor warning is printed
         args = ["compare", "mid_a", "gk", *paths, "--json"] if command == "compare" \
-            else ["cluster", *paths]
+            else ["cluster", *paths, "--out", str(tmp_path / "o")]
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed={seed}\n", encoding="utf-8")
         for opts in (["--seed", seed], ["--config", str(cfg)]):
-            assert main([*args, *opts, "--out", str(tmp_path / "o")]) == 1
+            assert main([*args, *opts]) == 1
             captured = capsys.readouterr()
             assert captured.err == f"error: master seed must be in [0, 2**64), got {seed}\n"
             assert captured.out == ""
         assert not (tmp_path / "o").exists()
 
-    # one case per setting rule, and one per type conversion: (setting, refused
-    # value, error line); None stands for the conversion's message
+    # one case per setting rule, and one per type conversion, on each command that
+    # reads the setting: (command, setting, refused value, error line); None
+    # stands for the conversion's message
     REFUSALS = [
-        ("rows", "2.5", None),
-        ("rows", "1", "grid must be at least 2x2, got 1x20"),
-        ("scheme", "hex", "scheme must be rook or queen, got 'hex'"),
-        ("bandwidth", "inf", "bandwidth must be finite and > 0, got inf"),
-        ("n-perm", "abc", None),
-        ("n-perm", "0", "n-perm must be >= 1, got 0"),
-        ("seed", "-1", "master seed must be in [0, 2**64), got -1"),
-        ("cut", "nan", "cut must be finite and >= 0, got nan"),
-        ("workers", "0", "workers must be >= 1, got 0"),
+        *[(command, "rows", "2.5", None) for command in COMMANDS],
+        *[(command, "rows", "1", "grid must be at least 2x2, got 1x20")
+          for command in COMMANDS],
+        *[(command, "scheme", "hex", "scheme must be rook or queen, got 'hex'")
+          for command in ("compare", "cluster")],
+        ("rasterize", "bandwidth", "inf", "bandwidth must be finite and > 0, got inf"),
+        *[(command, "n-perm", "abc", None) for command in ("compare", "cluster")],
+        *[(command, "n-perm", "0", "n_perm must be >= 1, got 0")
+          for command in ("compare", "cluster")],
+        *[(command, "seed", "-1", "master seed must be in [0, 2**64), got -1")
+          for command in ("compare", "cluster")],
+        ("cluster", "cut", "nan", "cut height must be finite and >= 0, got nan"),
+        ("cluster", "workers", "0", "workers must be >= 1, got 0"),
     ]
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("setting, value, message", REFUSALS)
+    @pytest.mark.parametrize("command, setting, value, message", REFUSALS)
     def test_flag_and_config_value_refused_alike(self, five_heatmap_dir, tmp_path, capsys,
-                                                 setting, value, message, source):
+                                                 command, setting, value, message, source):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{setting}={value}\n", encoding="utf-8")
         opts = [f"--{setting}", value] if source == "flag" else ["--config", str(cfg)]
-        out = tmp_path / "o"
-        assert main(["cluster", *_heatmap_args(five_heatmap_dir), *opts,
-                     "--out", str(out)]) == 1
+        argv, out = _command_argv(command, five_heatmap_dir, tmp_path)
+        assert main([*argv, *opts]) == 1
         if message is None:
             where = f"--{setting}" if source == "flag" else f"{cfg}:1"
             message = f"{where}: invalid value for {setting.replace('-', '_')!r}: {value!r}"
@@ -711,6 +787,68 @@ class TestConfig:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    # settings of other commands, each with a value the command taking it accepts
+    FOREIGN = [
+        *[("rasterize", setting, value) for setting, value in (
+            ("scheme", "rook"), ("n-perm", "9"), ("seed", "1"), ("cut", "0.5"),
+            ("workers", "2"))],
+        *[("compare", setting, value) for setting, value in (
+            ("bandwidth", "3"), ("cut", "0.5"), ("workers", "2"), ("out", "OUT"))],
+        ("cluster", "bandwidth", "3"),
+    ]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, setting, value", FOREIGN)
+    def test_setting_of_another_command_refused(self, five_heatmap_dir, tmp_path, capsys,
+                                                command, setting, value, source):
+        argv, out = _command_argv(command, five_heatmap_dir, tmp_path)
+        value = str(out) if value == "OUT" else value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{setting}={value}\n", encoding="utf-8")
+        if source == "flag":
+            opts, message = [f"--{setting}", value], f"unrecognized arguments: --{setting} {value}"
+        else:
+            opts, message = ["--config", str(cfg)], \
+                f"{cfg}:1: unknown key {setting.replace('-', '_')!r}"
+        assert main([*argv, *opts]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("rasterize", {"--rows", "--cols", "--bandwidth", "--out"}),
+        ("compare", {"--rows", "--cols", "--scheme", "--n-perm", "--seed", "--json"}),
+        ("cluster", {"--rows", "--cols", "--scheme", "--n-perm", "--seed", "--cut",
+                     "--workers", "--out"}),
+    ])
+    def test_help_lists_exactly_the_commands_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert listed == {"-h", "--help", "--config", *flags}
+
+    @pytest.mark.parametrize("command, setting, value, message", [
+        ("rasterize", "bandwidth", "nan", "bandwidth must be finite and > 0, got nan"),
+        ("cluster", "cut", "-0.5", "cut height must be finite and >= 0, got -0.5"),
+    ])
+    def test_bad_setting_refused_before_any_work(self, five_heatmap_dir, tmp_path, capsys,
+                                                 monkeypatch, command, setting, value,
+                                                 message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the settings were checked")
+
+        monkeypatch.setattr(roster, "permutation_test", refuse)
+        monkeypatch.setattr(cli, "parse_activity_groups", refuse)
+        argv, out = _command_argv(command, five_heatmap_dir, tmp_path)
+        assert main([*argv, f"--{setting}", value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        # the same run at a good value reaches the refusing layer
+        with pytest.raises(AssertionError, match="ran before"):
+            main(argv)
 
     @pytest.mark.parametrize("args, message", [
         (["cluster", "HEATMAPS", "--bogus"], "unrecognized arguments: --bogus"),
@@ -724,7 +862,9 @@ class TestConfig:
         out = tmp_path / "o"
         paths = _heatmap_args(five_heatmap_dir)
         argv = [a for arg in args for a in (paths if arg == "HEATMAPS" else [arg])]
-        assert main([*argv, "--out", str(out)]) == 1
+        if args[0] != "compare":  # compare writes no files and takes no --out
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
