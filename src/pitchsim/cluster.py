@@ -30,7 +30,7 @@ class Merge(NamedTuple):
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Merge tree over the players ``ids``, all distinct.
+    """Merge tree over the players ``ids``, all distinct and at least one.
 
     Leaf i is ``ids[i]``; the t-th merge creates internal node k+t.
     Complete linkage guarantees non-decreasing merge heights.
@@ -41,9 +41,11 @@ class Dendrogram:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
+        if not self.ids:
+            raise ValueError("a dendrogram needs at least one leaf")
         if len(set(self.ids)) != self.n_leaves:
             raise ValueError("player ids must be distinct")
-        if len(self.merges) != max(self.n_leaves - 1, 0):
+        if len(self.merges) != self.n_leaves - 1:
             raise ValueError(
                 f"{self.n_leaves} leaves need {self.n_leaves - 1} merges, "
                 f"got {len(self.merges)}"
@@ -71,11 +73,12 @@ def complete_linkage(d, ids) -> Dendrogram:
 
     The distance between two clusters is the largest pairwise distance
     between their members. The diagonal of ``d`` is ignored. ``ids`` names
-    the player of each row, all distinct. Among the pairs tied at the
-    minimal distance, the one whose (least id, least id) key sorts first
-    merges, and the cluster with the lesser least id goes on the left, so
-    the merges, as sets of ids, do not depend on the row order even when
-    the distances saturate at a few values.
+    the player of each row, all distinct, and at least one. The clusters
+    are searched with their rows in sorted id order, each cluster at the
+    row of its least id: among the pairs tied at the minimal distance the
+    first in that order merges, with the lower row on the left. So the
+    merges, as sets of ids, do not depend on the row order of ``d`` even
+    when the distances saturate at a few values.
 
     Raises
     ------
@@ -84,7 +87,8 @@ def complete_linkage(d, ids) -> Dendrogram:
     NaNInput
         If ``d`` contains NaN.
     ValueError
-        If ``ids`` does not hold one distinct id per row of ``d``.
+        If ``ids`` does not hold one distinct id per row of ``d``, or ``d``
+        has no rows.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -100,39 +104,29 @@ def complete_linkage(d, ids) -> Dendrogram:
     ids = tuple(ids)
     if len(ids) != k:
         raise ValueError(f"expected {k} ids, got {len(ids)}")
-    # the least rank, in sorted id order, in each position's cluster;
-    # Dendrogram refuses duplicate ids
-    least = np.empty(k, dtype=np.intp)
-    least[sorted(range(k), key=ids.__getitem__)] = np.arange(k)
-    if k == 1:
-        return Dendrogram(ids, ())
-
-    work = d.copy()
+    # rows in sorted id order, and a merged cluster keeps the lower row: the
+    # first minimum of the active block in row-major order is then the tied
+    # pair with the least (least id, least id) key; Dendrogram refuses
+    # duplicate ids
+    node_id = sorted(range(k), key=ids.__getitem__)   # dendrogram node per row
+    work = d[np.ix_(node_id, node_id)]
     np.fill_diagonal(work, np.inf)
-    active = np.arange(k)            # positions still in play
-    node_id = list(range(k))         # dendrogram node id per position
+    active = np.arange(k)            # rows still in play, ascending
 
     merges: list[Merge] = []
     for step in range(k - 1):
         block = work[np.ix_(active, active)]
-        ai, bi = np.nonzero(block == block.min())
-        # each pair appears in both orders: ai < bi keeps one, and no diagonal
-        pa, pb = active[ai[ai < bi]], active[bi[ai < bi]]
-        # among the pairs at the minimal height, the least (lo, hi) rank key
-        la, lb = least[pa], least[pb]
-        t = int(np.argmin(np.minimum(la, lb) * k + np.maximum(la, lb)))
-        a, b = int(pa[t]), int(pb[t])
-        height = float(work[a, b])
-        if least[b] < least[a]:
-            a, b = b, a
-        merges.append(Merge(left=node_id[a], right=node_id[b], height=height))
-        # complete-linkage update: slot a becomes the merged cluster; like
-        # max(), keep slot a's value unless slot b's is larger
+        r, c = divmod(int(np.argmin(block)), len(active))
+        if r == c:                   # all remaining distances are inf
+            r, c = 0, 1
+        a, b = int(active[r]), int(active[c])
+        merges.append(Merge(left=node_id[a], right=node_id[b], height=float(block[r, c])))
+        # complete-linkage update: row a becomes the merged cluster; like
+        # max(), keep row a's value unless row b's is larger
         merged = np.where(work[b, active] > work[a, active], work[b, active], work[a, active])
         work[a, active] = merged
         work[active, a] = merged
         node_id[a] = k + step
-        least[a] = min(least[a], least[b])
         active = active[active != b]
     return Dendrogram(ids, tuple(merges))
 
@@ -180,9 +174,6 @@ def export_newick(dend: Dendrogram) -> str:
     between two leaves equals the height of their first common merge.
     """
     k = dend.n_leaves
-    if k == 1:
-        return f"{_newick_name(dend.ids[0])};"
-
     elevation = [0.0] * k + [m.height / 2.0 for m in dend.merges]
     # each node's text without its branch length, built in merge order:
     # children always merge before their parent, so no recursion is needed
@@ -192,7 +183,8 @@ def export_newick(dend: Dendrogram) -> str:
         top = elevation[node]
         text[node] = (f"({left}:{top - elevation[m.left]!r},"
                       f"{right}:{top - elevation[m.right]!r})")
-    return f"{text[node]};"
+    (root,) = text.values()
+    return f"{root};"
 
 
 def merges_to_json(dend: Dendrogram) -> dict:

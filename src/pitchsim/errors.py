@@ -26,7 +26,7 @@ class NonpositiveBandwidth(PitchsimError):
 
 
 class ZeroMass(PitchsimError):
-    """Heatmap has zero total activity and cannot be normalized."""
+    """Heatmap total activity is not finite and > 0, so it cannot be normalized."""
 
 
 class ZeroVariance(PitchsimError):

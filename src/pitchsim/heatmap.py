@@ -343,13 +343,15 @@ def normalize(h: Heatmap) -> Heatmap:
     Raises
     ------
     ZeroMass
-        If the cells do not sum to a number > 0 (NaN included).
+        If the cells do not sum to a finite number > 0 (NaN included; a sum
+        that overflows to inf would scale every cell to 0).
     """
     if h.normalized:
         return h
-    total = float(h.cells.sum())
-    if not total > 0.0:
-        raise ZeroMass(f"heatmap {h.player_id!r} has total activity {total}, not > 0")
+    with np.errstate(over="ignore"):
+        total = float(h.cells.sum())
+    if not 0.0 < total < math.inf:
+        raise ZeroMass(f"heatmap {h.player_id!r} has total activity {total}, not finite and > 0")
     return replace(h, cells=h.cells / total, normalized=True)
 
 

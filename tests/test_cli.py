@@ -164,6 +164,18 @@ class TestRasterize:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: line 4: non-numeric")
 
+    def test_overflowing_total_fails_with_one_error_line(self, tmp_path, capsys):
+        # the cells stay finite but their sum overflows: dividing by it would
+        # write a heatmap of zeros marked normalized
+        path = tmp_path / "big.csv"
+        _write_csv(path, [("a", (50.0, 50.0, 1e308))] * 300 + [("b", (20.0, 20.0, 1.0))] * 10)
+        out = tmp_path / "out"
+        assert main(["rasterize", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: heatmap 'a' has total activity inf, not finite and > 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["rasterize", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -316,6 +328,19 @@ class TestCompare:
             assert captured.err == ""
             outputs.append(captured.out)
         assert outputs[0] == outputs[1]
+
+    def test_overflowing_total_fails_with_one_error_line(self, tmp_path, capsys):
+        paths = []
+        for pid, cells in (("a", [1e308] * 280), ("b", list(range(280)))):
+            path = tmp_path / f"{pid}.json"
+            path.write_text(json.dumps({"player_id": pid, "rows": 14, "cols": 20,
+                                        "cells": cells, "normalized": False}),
+                            encoding="utf-8")
+            paths.append(str(path))
+        assert main(["compare", "a", "b", *paths]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: heatmap 'a' has total activity inf, not finite and > 0\n"
+        assert captured.out == ""
 
 
 class TestConstantHeatmap:

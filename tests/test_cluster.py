@@ -126,6 +126,21 @@ class TestCompleteLinkage:
             want = naive_complete_linkage(d, _ids(8))
             assert [(m.left, m.right, m.height) for m in dend.merges] == want
 
+    @pytest.mark.parametrize("kind", ["some inf", "all inf", "all zero"])
+    def test_matches_naive_reference_on_inf_and_zero_distances(self, kind):
+        rng = np.random.default_rng(20)
+        for k in range(1, 13):
+            if kind == "some inf":
+                d = np.array([0.1, 0.5, math.inf])[rng.integers(0, 3, (k, k))]
+                d = np.maximum(d, d.T)
+                np.fill_diagonal(d, 0.0)
+            else:
+                d = np.full((k, k), math.inf if kind == "all inf" else 0.0)
+            ids = [_ids(k)[i] for i in rng.permutation(k)]
+            dend = ps.complete_linkage(d, ids)
+            assert [(m.left, m.right, m.height) for m in dend.merges] == \
+                naive_complete_linkage(d, ids)
+
     def test_matches_naive_reference_on_a_large_saturated_roster(self):
         # p-values at n_perm 99 piled on the floor, a few middle values and 1
         rng = np.random.default_rng(17)
@@ -144,6 +159,10 @@ class TestCompleteLinkage:
                 ps.complete_linkage(d, ids)
         with pytest.raises(ValueError, match="distinct"):
             ps.complete_linkage(d, ["a", "a"])
+
+    def test_zero_leaves_rejected(self):
+        with pytest.raises(ValueError, match="at least one leaf"):
+            ps.complete_linkage(np.zeros((0, 0)), [])
 
     def test_heights_non_decreasing(self):
         rng = np.random.default_rng(18)
@@ -368,6 +387,10 @@ class TestDendrogramValidation:
     def test_ids_are_kept_as_a_tuple_and_count_the_leaves(self):
         dend = ps.Dendrogram(["a", "b"], (ps.Merge(0, 1, 0.1),))
         assert dend.ids == ("a", "b") and dend.n_leaves == 2
+
+    def test_zero_leaves_rejected(self):
+        with pytest.raises(ValueError, match="at least one leaf"):
+            ps.Dendrogram((), ())
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -515,6 +515,14 @@ class TestNormalize:
         with pytest.raises(ZeroMass):
             ps.normalize(h)
 
+    def test_overflowing_mass_rejected_without_a_warning(self):
+        # 280 finite cells whose sum overflows to inf; the filter in
+        # pyproject.toml turns numpy's overflow warning into an error
+        g = ps.build_grid(14, 20)
+        h = ps.Heatmap(player_id="p", grid=g, cells=np.full(280, 1e308))
+        with pytest.raises(ZeroMass, match="total activity inf, not finite and > 0"):
+            ps.normalize(h)
+
     def test_normalized_sums_to_one(self):
         g = ps.build_grid(5, 5)
         rng = np.random.default_rng(4)
