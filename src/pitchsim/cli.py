@@ -9,7 +9,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,32 +30,18 @@ from .svg import bar_chart_svg, heatmap_svg, matrix_svg
 HISTOGRAM_BINS = 20
 
 
-@dataclass
-class RunConfig:
-    rows: int = 14
-    cols: int = 20
-    scheme: str = "queen"
-    bandwidth: float = 5.0
-    n_perm: int = 999
-    seed: int = 0
-    cut: float = 0.001
-    workers: int = 1
-    out: Path = Path("out")
-
-
-# each setting's type converts its flag and its config-file value alike
-_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
-
-_HELP = {
-    "rows": "grid rows across the field width",
-    "cols": "grid columns along the field length",
-    "scheme": f"contiguity scheme: {' or '.join(SCHEMES)}",
-    "bandwidth": "kernel bandwidth in field units",
-    "n_perm": "permutations per test",
-    "seed": "master seed",
-    "cut": "dendrogram cut height",
-    "workers": "parallel workers for pairwise tests",
-    "out": "output directory",
+# key: (default, help); the default's type converts the flag and the config-file
+# value alike
+_SETTINGS = {
+    "rows": (14, "grid rows across the field width"),
+    "cols": (20, "grid columns along the field length"),
+    "scheme": ("queen", f"contiguity scheme: {' or '.join(SCHEMES)}"),
+    "bandwidth": (5.0, "kernel bandwidth in field units"),
+    "n_perm": (999, "permutations per test"),
+    "seed": (0, "master seed"),
+    "cut": (0.001, "dendrogram cut height"),
+    "workers": (1, "parallel workers for pairwise tests"),
+    "out": (Path("out"), "output directory"),
 }
 
 
@@ -64,7 +49,7 @@ def _raw_settings(args: argparse.Namespace):
     """(key, value, where it was set) of each config-file line, then of each flag
     given; ``--config`` names a file of key=value lines, where '#' starts a comment."""
     # the command's parser defines (as None) exactly the settings it takes
-    path, keys = args.config, [key for key in _TYPES if key in vars(args)]
+    path, keys = args.config, [key for key in _SETTINGS if key in vars(args)]
     lines = Path(path).read_text(encoding="utf-8-sig").splitlines() if path else []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -82,22 +67,22 @@ def _raw_settings(args: argparse.Namespace):
             yield key, getattr(args, key), f"--{key.replace('_', '-')}"
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """Merge defaults, config file values, and explicit flags (flags win)."""
-    values = {}
+    cfg = argparse.Namespace(**{key: default for key, (default, _) in _SETTINGS.items()})
     for key, value, where in _raw_settings(args):
         try:
-            values[key] = _TYPES[key](value)
+            setattr(cfg, key, type(_SETTINGS[key][0])(value))
         except ValueError:
             raise ValueError(f"{where}: invalid value for {key!r}: {value!r}") from None
-    return RunConfig(**values)
+    return cfg
 
 
 def _add_settings(parser: argparse.ArgumentParser, *keys: str) -> None:
     # a setting's bad values are refused by the library function that reads it
     parser.add_argument("--config", help="key=value config file (flags take precedence)")
     for key in keys:
-        parser.add_argument(f"--{key.replace('_', '-')}", help=_HELP[key])
+        parser.add_argument(f"--{key.replace('_', '-')}", help=_SETTINGS[key][1])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,10 +99,12 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_rast = sub.add_parser("rasterize", help="turn activity CSVs into heatmap JSON + SVG")
+    p_rast.set_defaults(run=cmd_rasterize)
     _add_settings(p_rast, "rows", "cols", "bandwidth", "out")
     p_rast.add_argument("csv_paths", nargs="+", metavar="CSV")
 
     p_cmp = sub.add_parser("compare", help="test one pair of players")
+    p_cmp.set_defaults(run=cmd_compare)
     _add_settings(p_cmp, "rows", "cols", "scheme", "n_perm", "seed")
     p_cmp.add_argument("player_a")
     p_cmp.add_argument("player_b")
@@ -125,6 +112,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_clu = sub.add_parser("cluster", help="pairwise matrix, dendrogram, and clusters")
+    p_clu.set_defaults(run=cmd_cluster)
     _add_settings(p_clu, "rows", "cols", "scheme", "n_perm", "seed", "cut", "workers",
                   "out")
     p_clu.add_argument("heatmap_paths", nargs="+", metavar="HEATMAP_JSON")
@@ -149,12 +137,9 @@ def _write_outputs(out_dir: Path, files: dict[str, str]) -> None:
     """Stage all files in a temp dir, then move each into place atomically."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as tmp:
-        staged = []
         for name, content in files.items():
-            path = Path(tmp) / name
-            path.write_text(content, encoding="utf-8")
-            staged.append(name)
-        for name in staged:
+            (Path(tmp) / name).write_text(content, encoding="utf-8")
+        for name in files:
             os.replace(Path(tmp) / name, out_dir / name)
 
 
@@ -162,7 +147,7 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load_heatmaps(paths, cfg: RunConfig):
+def _load_heatmaps(paths, cfg: argparse.Namespace):
     heatmaps = []
     seen = set()
     for path in paths:
@@ -184,14 +169,13 @@ def _load_heatmaps(paths, cfg: RunConfig):
     return heatmaps
 
 
-def cmd_rasterize(cfg: RunConfig, csv_paths: list[str]) -> int:
+def cmd_rasterize(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     grid = build_grid(cfg.rows, cfg.cols)
     check_bandwidth(cfg.bandwidth)
     files: dict[str, str] = {}
     owners: dict[str, tuple[str, str]] = {}  # slug -> (player id, csv path)
     total_drops = 0
-    n_players = 0
-    for path in csv_paths:
+    for path in args.csv_paths:
         try:
             groups, drops = parse_activity_groups(path, extent=grid.extent)
         except PitchsimError as exc:
@@ -205,27 +189,26 @@ def cmd_rasterize(cfg: RunConfig, csv_paths: list[str]) -> int:
             h = normalize(rasterize(points, grid, cfg.bandwidth, player_id=player_id))
             files[f"heatmap_{slug}.json"] = _dump_json(heatmap_to_json(h))
             files[f"heatmap_{slug}.svg"] = heatmap_svg(grid, h.cells, title=player_id)
-            n_players += 1
     _write_outputs(cfg.out, files)
     print(
-        f"rasterized {n_players} player(s) from {len(csv_paths)} file(s); "
+        f"rasterized {len(owners)} player(s) from {len(args.csv_paths)} file(s); "
         f"dropped {total_drops} row(s); wrote {len(files)} file(s) to {cfg.out}"
     )
     return 0
 
 
-def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
-                as_json: bool = False) -> int:
+def cmd_compare(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     from . import roster as rm
 
+    player_a, player_b = args.player_a, args.player_b
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
-    heatmaps = {h.player_id: h for h in _load_heatmaps(heatmap_paths, cfg)}
+    heatmaps = {h.player_id: h for h in _load_heatmaps(args.heatmap_paths, cfg)}
     for pid in (player_a, player_b):
         if pid not in heatmaps:
             raise UnknownPlayer(f"player {pid!r} not found; have {sorted(heatmaps)}")
     res = rm.pair_test(heatmaps[player_a], heatmaps[player_b], w,
                        n_perm=cfg.n_perm, master_seed=cfg.seed)
-    if as_json:
+    if args.json:
         print(_dump_json({
             "player_a": player_a,
             "player_b": player_b,
@@ -246,22 +229,25 @@ def cmd_compare(cfg: RunConfig, heatmap_paths, player_a: str, player_b: str,
     return 0
 
 
-def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
+def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     from . import cluster as hc
     from . import roster as rm
 
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
     hc.check_cut(cfg.cut)
-    matrix = rm.compute_matrix(_load_heatmaps(heatmap_paths, cfg), w, n_perm=cfg.n_perm,
+    matrix = rm.compute_matrix(_load_heatmaps(args.heatmap_paths, cfg), w, n_perm=cfg.n_perm,
                                master_seed=cfg.seed, workers=cfg.workers)
 
     # after compute_matrix, which refuses a bad seed: a refused run prints one error line
-    if math.isclose(cfg.cut, 1.0 / (cfg.n_perm + 1)):
-        print(
-            f"warning: cut height {cfg.cut} equals the p-value resolution floor "
-            f"1/(n_perm+1); consider raising --n-perm",
-            file=sys.stderr,
-        )
+    floor = 1.0 / (cfg.n_perm + 1)
+    if math.isclose(cfg.cut, floor):
+        print(f"warning: cut height {cfg.cut} equals the p-value resolution floor "
+              f"1/(n_perm+1); consider raising --n-perm", file=sys.stderr)
+    elif cfg.cut < floor:
+        # every p-value is at least the floor, and a pair merges at or below the cut
+        print(f"warning: cut height {cfg.cut} is below the p-value resolution floor "
+              f"1/(n_perm+1), so no pair can merge; consider raising --n-perm",
+              file=sys.stderr)
     ids = list(matrix.player_ids)
     dend = hc.complete_linkage(matrix.pseudo_distance, ids)
     labels = hc.cut(dend, cfg.cut)
@@ -295,10 +281,9 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
         ),
     }
     _write_outputs(cfg.out, files)
-    n_clusters = max(labels) if labels else 0
     print(
         f"compared {len(ids)} players ({len(ids) * (len(ids) + 1) // 2} pairs, "
-        f"n_perm={cfg.n_perm}); {n_clusters} cluster(s) at cut={cfg.cut:g}; "
+        f"n_perm={cfg.n_perm}); {max(labels)} cluster(s) at cut={cfg.cut:g}; "
         f"wrote {len(files)} file(s) to {cfg.out}"
     )
     return 0
@@ -307,16 +292,7 @@ def cmd_cluster(cfg: RunConfig, heatmap_paths) -> int:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        cfg = build_config(args)
-        if args.command == "rasterize":
-            return cmd_rasterize(cfg, args.csv_paths)
-        if args.command == "compare":
-            return cmd_compare(
-                cfg, args.heatmap_paths, args.player_a, args.player_b, as_json=args.json
-            )
-        if args.command == "cluster":
-            return cmd_cluster(cfg, args.heatmap_paths)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(build_config(args), args)
     except (PitchsimError, ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation it could not make; a bare one is empty
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -303,6 +303,8 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
         field or a negative value.
     NonpositiveBandwidth
         If ``bandwidth`` is not finite and > 0.
+    ZeroMass
+        If the kernel sum overflows, so that a cell is not finite.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.size == 0:
@@ -328,12 +330,16 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
     a = 1.0 / (2.0 * h * h)
     norm = 1.0 / (2.0 * math.pi * h * h)
     cells = np.zeros((grid.rows, grid.cols))
-    for s in range(0, m, _POINT_CHUNK):
-        chunk = slice(s, s + _POINT_CHUNK)
-        kx = _axis_factor(px[chunk], cx, a)
-        ky = _axis_factor(py[chunk], cy, a)
-        ky *= (value[chunk] * norm)[:, None]
-        cells += ky.T @ kx
+    # an overflow leaves inf cells, and NaN where inf meets a factor of 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, m, _POINT_CHUNK):
+            chunk = slice(s, s + _POINT_CHUNK)
+            kx = _axis_factor(px[chunk], cx, a)
+            ky = _axis_factor(py[chunk], cy, a)
+            ky *= (value[chunk] * norm)[:, None]
+            cells += ky.T @ kx
+        if not np.isfinite(cells).all():
+            raise _no_mass(player_id, float(cells.sum()))
     return Heatmap(player_id=player_id, grid=grid, cells=cells.ravel(), normalized=False)
 
 
@@ -351,8 +357,12 @@ def normalize(h: Heatmap) -> Heatmap:
     with np.errstate(over="ignore"):
         total = float(h.cells.sum())
     if not 0.0 < total < math.inf:
-        raise ZeroMass(f"heatmap {h.player_id!r} has total activity {total}, not finite and > 0")
+        raise _no_mass(h.player_id, total)
     return replace(h, cells=h.cells / total, normalized=True)
+
+
+def _no_mass(player_id: str, total: float) -> ZeroMass:
+    return ZeroMass(f"heatmap {player_id!r} has total activity {total}, not finite and > 0")
 
 
 def heatmap_to_json(h: Heatmap) -> dict:

@@ -176,6 +176,23 @@ class TestRasterize:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, value, bandwidth, total", [
+        (3000, 1.7e308, "5", "inf"),
+        (1, 1e307, "1e-3", "nan"),
+    ], ids=["inf", "nan"])
+    def test_overflowing_kernel_sum_is_the_only_stderr_line(self, tmp_path, capsys, n,
+                                                            value, bandwidth, total):
+        # pyproject.toml's filter turns numpy's overflow warnings into errors, so a
+        # run that would print one before its error line fails here
+        path = tmp_path / "big.csv"
+        _write_csv(path, [("a", (50.0, 50.0, value))] * n)
+        out = tmp_path / "out"
+        assert main(["rasterize", str(path), "--bandwidth", bandwidth, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: heatmap 'a' has total activity {total}, not finite and > 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["rasterize", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 1
@@ -548,6 +565,29 @@ class TestCluster:
         assert "resolution floor" in captured.err
         labels = (out / "clusters.csv").read_text().strip().splitlines()[1:]
         assert labels == ["dup_a,1", "dup_b,1"]
+
+    # at n_perm 99 the p-value floor is 1/100
+    @pytest.mark.parametrize("cut, err", [
+        ("0.01", "warning: cut height 0.01 equals the p-value resolution floor "
+                 "1/(n_perm+1); consider raising --n-perm\n"),
+        ("0.001", "warning: cut height 0.001 is below the p-value resolution floor "
+                  "1/(n_perm+1), so no pair can merge; consider raising --n-perm\n"),
+        ("0", "warning: cut height 0.0 is below the p-value resolution floor "
+              "1/(n_perm+1), so no pair can merge; consider raising --n-perm\n"),
+        ("0.5", ""),
+    ], ids=["equal", "below", "zero", "above"])
+    def test_cut_at_or_below_the_floor_warns(self, five_heatmap_dir, tmp_path, capsys,
+                                             cut, err):
+        out = tmp_path / "o"
+        assert main(["cluster", *_heatmap_args(five_heatmap_dir), "--n-perm", "99",
+                     "--cut", cut, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == err
+        labels = [int(row["cluster"]) for row in
+                  csv.DictReader(io.StringIO((out / "clusters.csv").read_text()))]
+        if float(cut) < 0.01:
+            assert labels == [1, 2, 3, 4, 5]
+            assert " 5 cluster(s) " in captured.out
 
     def test_clusters_csv_quotes_player_ids(self, tmp_path):
         ids = ["Smith, J", 'say "hi"', "two\nlines", "plain"]

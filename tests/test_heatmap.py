@@ -486,6 +486,19 @@ class TestRasterize:
             ps.rasterize([(50.0, 50.0, 1.0)], ps.build_grid(2, 2), float("inf"))
 
 
+    @pytest.mark.parametrize("n, value, bandwidth, total", [
+        (3000, 1.7e308, 5.0, "inf"),  # the matrix product overflows
+        (1, 1e307, 1e-3, "nan"),  # an inf weight meets a kernel factor of 0
+    ], ids=["inf", "nan"])
+    def test_overflowing_kernel_sum_rejected_without_a_warning(self, n, value, bandwidth,
+                                                               total):
+        # the filter in pyproject.toml turns numpy's warnings into errors
+        with pytest.raises(ZeroMass, match=rf"^heatmap 'a' has total activity {total}, "
+                                           r"not finite and > 0$"):
+            ps.rasterize([(50.0, 50.0, value)] * n, ps.build_grid(14, 20), bandwidth,
+                         player_id="a")
+
+
 class TestNormalize:
     def test_quarter_quarter_half(self):
         g = ps.build_grid(2, 2)

@@ -1,10 +1,12 @@
 """The README's code examples run as written."""
 
+import argparse
 import re
 from pathlib import Path
 
 import numpy as np
 
+from pitchsim import cli
 from rosters import blob_points
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -77,3 +79,33 @@ def test_library_clusters_follow_the_players_not_their_order(tmp_path, monkeypat
     assert len(_partition(fwd)) > 1
     assert _partition(fwd) == _partition(rev)
     assert _merge_sets(fwd) == _merge_sets(rev)
+
+
+def _command_flags():
+    """Each command's option strings, read from the parser itself."""
+    sub = next(a for a in cli.make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in parser._actions for flag in action.option_strings}
+            for name, parser in sub.choices.items()}
+
+
+def test_settings_table_matches_the_parser():
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    table = re.search(r"^((?:\|.*\n)+)", section, re.M).group(1)
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()]
+    commands = [cell.strip("`") for cell in rows[0][2:-1]]
+    flags = _command_flags()
+    assert sorted(commands) == sorted(flags)
+    keys = []
+    for row in rows[2:]:
+        names = re.findall(r"`--([\w-]+)`", row[0])
+        for name, default in zip(names, row[1].split(", "), strict=True):
+            key = name.replace("-", "_")
+            keys.append(key)
+            # the README's default converts to the one the command uses
+            value = cli._SETTINGS[key][0]
+            assert type(value)(default.strip("`")) == value, name
+            ticked = {c for c, mark in zip(commands, row[2:-1]) if mark == "✓"}
+            assert ticked == {c for c in commands if f"--{name}" in flags[c]}, name
+    assert sorted(keys) == sorted(cli._SETTINGS)
