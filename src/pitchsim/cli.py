@@ -24,7 +24,7 @@ from .heatmap import (
     rasterize,
 )
 # permutation_test is unused here; perfbench/tracer.py wraps cli.permutation_test by name
-from .stats import permutation_test
+from .stats import check_n_perm, check_seed, permutation_test
 from .svg import bar_chart_svg, heatmap_svg, matrix_svg
 
 HISTOGRAM_BINS = 20
@@ -235,10 +235,14 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
 
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
     hc.check_cut(cfg.cut)
-    matrix = rm.compute_matrix(_load_heatmaps(args.heatmap_paths, cfg), w, n_perm=cfg.n_perm,
-                               master_seed=cfg.seed, workers=cfg.workers)
+    # compute_matrix's own rules, checked before the warnings: a refused run
+    # prints one error line, and an accepted one warns before its pair tests
+    check_seed(cfg.seed, "master seed")
+    check_n_perm(cfg.n_perm)
+    rm.check_workers(cfg.workers)
+    heatmaps = _load_heatmaps(args.heatmap_paths, cfg)
+    rm.check_roster(heatmaps)
 
-    # after compute_matrix, which refuses a bad seed: a refused run prints one error line
     floor = 1.0 / (cfg.n_perm + 1)
     if math.isclose(cfg.cut, floor):
         print(f"warning: cut height {cfg.cut} equals the p-value resolution floor "
@@ -248,6 +252,9 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
         print(f"warning: cut height {cfg.cut} is below the p-value resolution floor "
               f"1/(n_perm+1), so no pair can merge; consider raising --n-perm",
               file=sys.stderr)
+    matrix = rm.compute_matrix(heatmaps, w, n_perm=cfg.n_perm, master_seed=cfg.seed,
+                               workers=cfg.workers)
+    del heatmaps  # the writers need only the matrix: freed, the heatmaps add nothing to their peak
     ids = list(matrix.player_ids)
     dend = hc.complete_linkage(matrix.pseudo_distance, ids)
     labels = hc.cut(dend, cfg.cut)

@@ -9,17 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _HOMES
 from .errors import AsymmetricInput, NaNInput
 
-__all__ = [
-    "Merge",
-    "Dendrogram",
-    "complete_linkage",
-    "cut",
-    "export_newick",
-    "merges_to_json",
-    "clusters_to_csv",
-]
+__all__ = list(_HOMES["cluster"])
 
 
 class Merge(NamedTuple):

@@ -7,15 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _HOMES
 from .errors import InvalidDimension
 
-__all__ = [
-    "DEFAULT_EXTENT",
-    "PitchGrid",
-    "WeightsMatrix",
-    "build_grid",
-    "adjacency",
-]
+__all__ = list(_HOMES["grid"])
 
 # (xmin, ymin, xmax, ymax) in normalized field coordinates
 DEFAULT_EXTENT = (0.0, 0.0, 100.0, 100.0)

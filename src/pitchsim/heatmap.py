@@ -10,6 +10,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from . import _HOMES
 from .errors import (
     EmptyInput,
     MalformedHeatmap,
@@ -19,16 +20,7 @@ from .errors import (
 )
 from .grid import DEFAULT_EXTENT, PitchGrid, build_grid
 
-__all__ = [
-    "Heatmap",
-    "DropCounts",
-    "parse_activity_groups",
-    "rasterize",
-    "normalize",
-    "heatmap_to_json",
-    "heatmap_from_json",
-    "MIN_BANDWIDTH",
-]
+__all__ = list(_HOMES["heatmap"])
 
 CSV_HEADER = ["player_id", "x", "y", "value"]
 

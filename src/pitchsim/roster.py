@@ -14,6 +14,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _HOMES
 from .errors import GridMismatch, ZeroVariance
 from .grid import WeightsMatrix
 from .heatmap import Heatmap
@@ -26,14 +27,8 @@ from .stats import (
     prepare_cells,
 )
 
-__all__ = [
-    "RosterMatrix",
-    "compute_matrix",
-    "pair_seed",
-    "pair_test",
-    "matrix_to_json",
-    "pairs_to_csv",
-]
+__all__ = list(_HOMES["roster"])
+
 
 @dataclass(frozen=True)
 class RosterMatrix:
@@ -50,6 +45,18 @@ class RosterMatrix:
     statistic: np.ndarray
     n_perm: int
     master_seed: int
+
+
+def check_workers(workers) -> None:
+    """The worker-count rule: an int >= 1."""
+    if operator.index(workers) < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def check_roster(heatmaps) -> None:
+    """The roster-size rule: at least 2 heatmaps."""
+    if len(heatmaps) < 2:
+        raise ValueError(f"need at least 2 heatmaps, got {len(heatmaps)}")
 
 
 def pair_seed(master_seed: int, a, b) -> int:
@@ -178,12 +185,10 @@ def compute_matrix(
     """
     check_seed(master_seed, "master seed")
     check_n_perm(n_perm)
-    if operator.index(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    k = len(heatmaps)
-    if k < 2:
-        raise ValueError(f"need at least 2 heatmaps, got {k}")
+    check_workers(workers)
+    check_roster(heatmaps)
     players = _prepare(heatmaps, w)
+    k = len(players)
 
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     # the pool starts all its processes at once

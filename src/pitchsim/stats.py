@@ -8,8 +8,9 @@ is positive spatial cross-correlation; negative association yields p near 1.
 
 Ties count as >= observed, with a tolerance: ``L_perm >= L_obs - 1e-10 *
 max(1, |L_obs|)``. Permutations come from one Philox stream in chunks of
-relabeled cells, drawn into one (chunk, n) float64 buffer per test and counted
-as drawn, so memory per test is O(chunk * n) for any n_perm.
+relabeled cells, drawn into one (chunk, n) float64 buffer of at most 2 MiB per
+test (one row if a row alone is larger) and counted as drawn, so memory per test
+does not grow with n_perm or with the grid.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 
+from . import _HOMES
 from .errors import (
     EmptyWeights,
     InsufficientPermutations,
@@ -30,22 +32,13 @@ from .errors import (
 )
 from .grid import WeightsMatrix
 
-__all__ = [
-    "PreparedCells",
-    "TestResult",
-    "morans_i",
-    "prepare_cells",
-    "lees_l",
-    "permutation_test",
-    "exact_permutation_test",
-    "EXACT_MAX_CELLS",
-]
+__all__ = list(_HOMES["stats"])
 
 # n! enumeration cap for the exact test (8! = 40320)
 EXACT_MAX_CELLS = 8
 
-# permutations drawn per chunk of the stream
-_PERM_CHUNK = 1024
+# bytes of relabeled cells drawn per chunk of the stream
+_PERM_BYTES = 2 << 20
 
 # Relative tie tolerance. Lattice symmetries tie with the observed arrangement
 # in exact arithmetic but can round a few ulps apart; 1e-10 is far above that
@@ -268,7 +261,7 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     # chunks continue one stream, so the draws ignore the chunk size; a
     # shuffle's swaps ignore the values moved, so each row is y.vc[pi] exactly
-    rows = min(_PERM_CHUNK, n_perm)
+    rows = max(1, min(n_perm, _PERM_BYTES // (8 * w.n)))
     buf = np.empty((rows, w.n))
     chunks = (gen.permuted(np.broadcast_to(y.vc, (m, w.n)), axis=1, out=buf[:m])
               for m in (min(rows, n_perm - start) for start in range(0, n_perm, rows)))

@@ -577,12 +577,21 @@ class TestCluster:
         ("0.5", ""),
     ], ids=["equal", "below", "zero", "above"])
     def test_cut_at_or_below_the_floor_warns(self, five_heatmap_dir, tmp_path, capsys,
-                                             cut, err):
+                                             monkeypatch, cut, err):
+        test, errs = roster.permutation_test, []
+
+        def spy(*args, **kwargs):
+            # stderr so far, at each pair test: the warning comes before the first
+            errs.append(capsys.readouterr().err)
+            return test(*args, **kwargs)
+
+        monkeypatch.setattr(roster, "permutation_test", spy)
         out = tmp_path / "o"
         assert main(["cluster", *_heatmap_args(five_heatmap_dir), "--n-perm", "99",
                      "--cut", cut, "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert captured.err == err
+        assert len(errs) == 15 and errs[0] == err and not any(errs[1:])
+        assert captured.err == ""
         labels = [int(row["cluster"]) for row in
                   csv.DictReader(io.StringIO((out / "clusters.csv").read_text()))]
         if float(cut) < 0.01:
@@ -819,7 +828,8 @@ class TestConfig:
 
     # one case per setting rule, and one per type conversion, on each command that
     # reads the setting: (command, setting, refused value, error line); None
-    # stands for the conversion's message
+    # stands for the conversion's message. cluster runs at the default cut, on
+    # the p-value floor, so its one error line also means no warning
     REFUSALS = [
         *[(command, "rows", "2.5", None) for command in COMMANDS],
         *[(command, "rows", "1", "grid must be at least 2x2, got 1x20")
@@ -898,6 +908,9 @@ class TestConfig:
     @pytest.mark.parametrize("command, setting, value, message", [
         ("rasterize", "bandwidth", "nan", "bandwidth must be finite and > 0, got nan"),
         ("cluster", "cut", "-0.5", "cut height must be finite and >= 0, got -0.5"),
+        ("cluster", "n-perm", "0", "n_perm must be >= 1, got 0"),
+        ("cluster", "seed", "-1", "master seed must be in [0, 2**64), got -1"),
+        ("cluster", "workers", "0", "workers must be >= 1, got 0"),
     ])
     def test_bad_setting_refused_before_any_work(self, five_heatmap_dir, tmp_path, capsys,
                                                  monkeypatch, command, setting, value,
@@ -907,6 +920,7 @@ class TestConfig:
 
         monkeypatch.setattr(roster, "permutation_test", refuse)
         monkeypatch.setattr(cli, "parse_activity_groups", refuse)
+        monkeypatch.setattr(cli, "heatmap_from_json", refuse)
         argv, out = _command_argv(command, five_heatmap_dir, tmp_path)
         assert main([*argv, f"--{setting}", value]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

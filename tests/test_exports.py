@@ -50,6 +50,14 @@ def test_star_import_binds_every_name():
         assert ns[name] is getattr(pitchsim, name)
 
 
+@pytest.mark.parametrize("module", PUBLIC)
+def test_star_import_of_a_home_module_binds_exactly_its_names(module):
+    ns = {}
+    exec(f"from pitchsim.{module} import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(PUBLIC[module])
+
+
 def test_dir_lists_every_name():
     assert {name for name, _ in HOMES} | PUBLIC.keys() <= set(dir(pitchsim))
     assert "__version__" in dir(pitchsim)

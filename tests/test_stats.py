@@ -37,6 +37,11 @@ def _queen(rows, cols):
     return ps.adjacency(ps.build_grid(rows, cols), "queen")
 
 
+def _chunk_rows(w):
+    """Rows of relabeled cells in each full chunk of the permutation stream on ``w``."""
+    return stats._PERM_BYTES // (8 * w.n)
+
+
 def _checkerboard(rows, cols):
     r, c = np.divmod(np.arange(rows * cols), cols)
     return np.where((r + c) % 2 == 0, 1.0, -1.0)
@@ -201,8 +206,8 @@ class TestPermutationTest:
         rng = np.random.default_rng(15)
         x = rng.normal(size=16)
         y = rng.normal(size=16)
-        n_perm, seed = 2500, 22
-        assert n_perm > 2 * stats._PERM_CHUNK
+        n_perm, seed = 40_000, 22
+        assert n_perm > 2 * _chunk_rows(w)
         res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
         assert res.statistic == ps.lees_l(x, y, w)
 
@@ -225,8 +230,8 @@ class TestPermutationTest:
         x = rng.normal(size=w.n)
         y = rng.normal(size=w.n)
         results = []
-        for chunk in (1, 7, stats._PERM_CHUNK):
-            monkeypatch.setattr(stats, "_PERM_CHUNK", chunk)
+        for budget in (8 * w.n, 7 * 8 * w.n, stats._PERM_BYTES):  # 1, 7 and all rows
+            monkeypatch.setattr(stats, "_PERM_BYTES", budget)
             res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=5)
             results.append((res.n_ge, res.p_value, res.statistic))
         assert results[0] == results[1] == results[2]
@@ -247,20 +252,21 @@ class TestPermutationTest:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 64 * 1024
 
-    def test_memory_is_one_chunk_of_cells(self):
-        # one (chunk, n) float64 buffer of relabeled cells; no index array,
-        # no gathered copy
-        w = _queen(14, 20)
+    @pytest.mark.parametrize("rows, cols, n_perm", [(14, 20, 10_000), (60, 80, 999)])
+    def test_memory_is_one_chunk_of_cells(self, rows, cols, n_perm):
+        # one float64 buffer of relabeled cells within the byte budget, on a
+        # large grid too; no index array, no gathered copy
+        w = _queen(rows, cols)
         rng = np.random.default_rng(16)
-        x = rng.random(w.n)
-        y = rng.random(w.n)
+        x = stats.prepare_cells(rng.random(w.n), w)
+        y = stats.prepare_cells(rng.random(w.n), w, "y")
         tracemalloc.start()
         try:
-            ps.permutation_test(x, y, w, n_perm=10_000, seed=0)
+            ps.permutation_test(x, y, w, n_perm=n_perm, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.15 * stats._PERM_CHUNK * w.n * 8
+        assert peak <= 1.15 * stats._PERM_BYTES
 
     def test_agrees_with_exhaustive_enumeration_on_nine_cells(self):
         w = _rook(3, 3)
@@ -361,9 +367,13 @@ class TestRelabeledCells:
         (7, 9, "rook"),
         (14, 20, "queen"),
     ])
-    @pytest.mark.parametrize("n_perm", [1, 1023, 1024, 1025, 2500])
-    def test_scores_equal_the_indexed_stream(self, monkeypatch, rows, cols, scheme, n_perm):
+    # n_perm = chunks * rows + extra: one draw, just below, at and just above
+    # one chunk, and past two
+    @pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 452)])
+    def test_scores_equal_the_indexed_stream(self, monkeypatch, rows, cols, scheme, chunks,
+                                             extra):
         w = ps.adjacency(ps.build_grid(rows, cols), scheme)
+        n_perm = chunks * _chunk_rows(w) + extra
         rng = np.random.default_rng(rows * cols + n_perm)
         x = stats.prepare_cells(rng.random(w.n), w)
         y = stats.prepare_cells(rng.random(w.n), w, "y")
@@ -382,7 +392,7 @@ class TestRelabeledCells:
         monkeypatch.setattr(stats, "_score", spy)
         res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
         l_obs, u = stats._observed(x, y)
-        expected = indexed_stream_scores(u, y.vc, n_perm, seed, stats._PERM_CHUNK)
+        expected = indexed_stream_scores(u, y.vc, n_perm, seed, _chunk_rows(w))
         assert np.concatenate(scores).tobytes() == expected.tobytes()
         n_ge = int(np.count_nonzero(expected >= l_obs - stats._TIE_RTOL * max(1.0, abs(l_obs))))
         assert (res.statistic, res.n_ge, res.p_value) == (l_obs, n_ge, (n_ge + 1) / (n_perm + 1))
