@@ -200,6 +200,8 @@ def cmd_rasterize(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
 def cmd_compare(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     from . import roster as rm
 
+    check_seed(cfg.seed, "master seed")
+    check_n_perm(cfg.n_perm)
     player_a, player_b = args.player_a, args.player_b
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
     heatmaps = {h.player_id: h for h in _load_heatmaps(args.heatmap_paths, cfg)}

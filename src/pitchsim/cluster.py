@@ -97,30 +97,25 @@ def complete_linkage(d, ids) -> Dendrogram:
     ids = tuple(ids)
     if len(ids) != k:
         raise ValueError(f"expected {k} ids, got {len(ids)}")
-    # rows in sorted id order, and a merged cluster keeps the lower row: the
-    # first minimum of the active block in row-major order is then the tied
-    # pair with the least (least id, least id) key; Dendrogram refuses
-    # duplicate ids
-    node_id = sorted(range(k), key=ids.__getitem__)   # dendrogram node per row
+    # rows in sorted id order, and a merged cluster keeps the lower row; a
+    # merged-away row and column turn inf, so the first minimum of the whole
+    # matrix in row-major order is the tied pair of live rows with the least
+    # (least id, least id) key; Dendrogram refuses duplicate ids
+    node_id = sorted(range(k), key=ids.__getitem__)   # node per row, None once merged away
     work = d[np.ix_(node_id, node_id)]
     np.fill_diagonal(work, np.inf)
-    active = np.arange(k)            # rows still in play, ascending
 
     merges: list[Merge] = []
     for step in range(k - 1):
-        block = work[np.ix_(active, active)]
-        r, c = divmod(int(np.argmin(block)), len(active))
-        if r == c:                   # all remaining distances are inf
-            r, c = 0, 1
-        a, b = int(active[r]), int(active[c])
-        merges.append(Merge(left=node_id[a], right=node_id[b], height=float(block[r, c])))
+        a, b = divmod(int(np.argmin(work)), k)
+        if a == b:                   # all remaining distances are inf
+            a, b = [row for row, node in enumerate(node_id) if node is not None][:2]
+        merges.append(Merge(left=node_id[a], right=node_id[b], height=float(work[a, b])))
         # complete-linkage update: row a becomes the merged cluster; like
         # max(), keep row a's value unless row b's is larger
-        merged = np.where(work[b, active] > work[a, active], work[b, active], work[a, active])
-        work[a, active] = merged
-        work[active, a] = merged
-        node_id[a] = k + step
-        active = active[active != b]
+        work[a] = work[:, a] = np.where(work[b] > work[a], work[b], work[a])
+        work[b] = work[:, b] = np.inf
+        node_id[a], node_id[b] = k + step, None
     return Dendrogram(ids, tuple(merges))
 
 

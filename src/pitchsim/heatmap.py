@@ -79,19 +79,19 @@ def _open_text(source):
 def _plain_block(lines: list[str]):
     """``(ids, xyz, len(lines))`` of whole lines from one ``np.loadtxt`` call, or None.
 
-    Returns None when the lines are not one plain record each or hold a field
-    ``np.loadtxt`` refuses or a non-finite one: only :func:`_csv_block` reads
-    those as the CSV format does and reports them with their line number.
+    Returns None when a line is over ``csv.field_size_limit()``, a quote is
+    open at the end, or a field is one ``np.loadtxt`` refuses or non-finite:
+    only :func:`_csv_block` reads those and reports them with their line number.
     """
     text = "".join(lines)
     if not text.strip("\r\n"):
         return [], (), len(lines)  # blank lines only; np.loadtxt would warn of no data
     limit = csv.field_size_limit()
-    if '"' in text or (len(text) > limit and max(map(len, lines)) > limit):
+    if len(text) > limit and max(map(len, lines)) > limit:
         return None
     try:
         rows = np.loadtxt(lines, delimiter=",", dtype=_ROW_DTYPE, comments=None,
-                          quotechar=None, ndmin=1)
+                          quotechar='"', ndmin=1)
     except ValueError:
         return None
     xyz = np.column_stack((rows["x"], rows["y"], rows["value"]))
@@ -188,14 +188,14 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     value are dropped and counted; non-numeric fields abort the parse.
 
     The body is read in blocks of ``_BLOCK_LINES`` lines, each parsed by one
-    ``np.loadtxt`` call. A block holding a quote, a line over
-    ``csv.field_size_limit()``, a non-finite field or anything else
-    ``np.loadtxt`` refuses is read by ``csv.reader`` alone, on past its last
-    line to the end of a quoted field that runs on; the next block goes to
-    ``np.loadtxt`` again. Both readers' rows pass the same drop and grouping
-    step, so the result and every error message are those of one
-    ``csv.reader`` loop over the whole body. Errors name the first physical
-    line of the bad record.
+    ``np.loadtxt`` call, quotes included. A block with a line over
+    ``csv.field_size_limit()``, a quote open at its end, a non-finite field
+    or anything else ``np.loadtxt`` refuses is read by ``csv.reader`` alone,
+    on past its last line to the end of a quoted field that runs on; the next
+    block goes to ``np.loadtxt`` again. Both readers' rows pass the same drop
+    and grouping step, so the result and every error message are those of
+    one ``csv.reader`` loop over the whole body. Errors name the first
+    physical line of the bad record.
 
     Returns
     -------
@@ -376,8 +376,9 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
     Raises
     ------
     MalformedHeatmap
-        If the document is not an object, or a required field is missing
-        or has the wrong type; the message names the field.
+        If the document is not an object, a required field is missing or
+        has the wrong type, or the player id is not UTF-8 text; the message
+        names the field.
     InvalidDimension
         If rows or cols is below 2.
     ValueError
@@ -395,6 +396,9 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
             raise MalformedHeatmap(
                 f"heatmap field {key!r} must be {kind.__name__}, got {type(value).__name__}"
             )
+    # a lone surrogate is valid JSON and a valid str, but has no UTF-8 form
+    if any("\ud800" <= ch <= "\udfff" for ch in doc["player_id"]):
+        raise MalformedHeatmap("heatmap field 'player_id' must be UTF-8 text")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc["cells"]):
         raise MalformedHeatmap("heatmap field 'cells' must hold only numbers")
     grid = build_grid(doc["rows"], doc["cols"], extent)

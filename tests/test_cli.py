@@ -665,6 +665,9 @@ class TestMalformedHeatmap:
         ("normalized", lambda d: d.update(normalized="yes")),
         ("player_id", lambda d: d.update(player_id=7)),
         ("cells", lambda d: d["cells"].__setitem__(0, 10**400)),
+        # valid JSON, but no UTF-8 form: cluster would warn, then fail at the digest
+        pytest.param("player_id", lambda d: d.update(player_id="\ud800x"),
+                     id="player_id-lone-surrogate"),
     ])
     @pytest.mark.parametrize("command", ["cluster", "compare"])
     def test_one_error_line_naming_file_and_field(self, five_heatmap_dir, tmp_path,
@@ -862,6 +865,19 @@ class TestConfig:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("n-perm", "0", "n_perm must be >= 1, got 0"),
+        ("seed", "-1", "master seed must be in [0, 2**64), got -1"),
+    ])
+    @pytest.mark.parametrize("command", ["compare", "cluster"])
+    def test_rule_checked_before_any_heatmap_is_read(self, tmp_path, capsys, command,
+                                                     setting, value, message):
+        missing = str(tmp_path / "nosuch.json")
+        argv = ["compare", "a", "b", missing] if command == "compare" \
+            else ["cluster", missing, "--out", str(tmp_path / "o")]
+        assert main([*argv, f"--{setting}", value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     # settings of other commands, each with a value the command taking it accepts
     FOREIGN = [

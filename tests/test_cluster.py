@@ -1,6 +1,7 @@
 """Complete-linkage clustering, dendrogram cut, and Newick export."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -118,28 +119,34 @@ class TestCompleteLinkage:
     def test_matches_naive_reference_under_saturated_ties(self):
         rng = np.random.default_rng(16)
         levels = np.array([0.001, 0.5, 1.0])
-        for _ in range(10):
-            d = levels[rng.integers(0, 3, (8, 8))]
-            d = np.maximum(d, d.T)
-            np.fill_diagonal(d, 0.0)
-            dend = ps.complete_linkage(d, _ids(8))
-            want = naive_complete_linkage(d, _ids(8))
-            assert [(m.left, m.right, m.height) for m in dend.merges] == want
+        for k in range(2, 17):
+            for _ in range(4):
+                d = levels[rng.integers(0, 3, (k, k))]
+                d = np.maximum(d, d.T)
+                np.fill_diagonal(d, 0.0)
+                dend = ps.complete_linkage(d, _ids(k))
+                want = naive_complete_linkage(d, _ids(k))
+                assert [(m.left, m.right, m.height) for m in dend.merges] == want
 
     @pytest.mark.parametrize("kind", ["some inf", "all inf", "all zero"])
     def test_matches_naive_reference_on_inf_and_zero_distances(self, kind):
-        rng = np.random.default_rng(20)
-        for k in range(1, 13):
-            if kind == "some inf":
-                d = np.array([0.1, 0.5, math.inf])[rng.integers(0, 3, (k, k))]
-                d = np.maximum(d, d.T)
-                np.fill_diagonal(d, 0.0)
-            else:
-                d = np.full((k, k), math.inf if kind == "all inf" else 0.0)
-            ids = [_ids(k)[i] for i in rng.permutation(k)]
-            dend = ps.complete_linkage(d, ids)
-            assert [(m.left, m.right, m.height) for m in dend.merges] == \
-                naive_complete_linkage(d, ids)
+        late_inf = 0  # cases whose distances all turn inf after a finite merge
+        for seed in range(20, 24):
+            rng = np.random.default_rng(seed)
+            for k in range(1, 17):
+                if kind == "some inf":
+                    d = np.array([0.1, 0.5, math.inf])[rng.integers(0, 3, (k, k))]
+                    d = np.maximum(d, d.T)
+                    np.fill_diagonal(d, 0.0)
+                else:
+                    d = np.full((k, k), math.inf if kind == "all inf" else 0.0)
+                ids = [_ids(k)[i] for i in rng.permutation(k)]
+                dend = ps.complete_linkage(d, ids)
+                want = naive_complete_linkage(d, ids)
+                assert [(m.left, m.right, m.height) for m in dend.merges] == want
+                heights = [h for _, _, h in want]
+                late_inf += bool(heights) and heights[0] < math.inf and heights[-1] == math.inf
+        assert (late_inf > 0) == (kind == "some inf"), late_inf
 
     def test_matches_naive_reference_on_a_large_saturated_roster(self):
         # p-values at n_perm 99 piled on the floor, a few middle values and 1
@@ -151,6 +158,17 @@ class TestCompleteLinkage:
         dend = ps.complete_linkage(d, _ids(120))
         assert [(m.left, m.right, m.height) for m in dend.merges] == \
             naive_complete_linkage(d, _ids(120))
+
+    def test_saturated_roster_of_800_links_in_under_0_6_s(self):
+        # every pair at one p-value: each merge has the most ties to break
+        d = np.full((800, 800), 0.5)
+        ids = [f"p{i:03d}" for i in range(800)]
+        elapsed = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            ps.complete_linkage(d, ids)
+            elapsed.append(time.perf_counter() - t0)
+        assert min(elapsed) < 0.6
 
     def test_ids_must_be_one_distinct_id_per_leaf(self):
         d = np.array([[0.0, 0.4], [0.4, 0.0]])

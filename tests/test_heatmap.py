@@ -1,6 +1,8 @@
 """Activity parsing, kernel rasterization, and normalization."""
 
+import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -19,6 +21,7 @@ import pitchsim as ps
 from pitchsim import heatmap
 from pitchsim.errors import (
     EmptyInput,
+    MalformedHeatmap,
     MalformedRecord,
     NonpositiveBandwidth,
     PitchsimError,
@@ -214,10 +217,12 @@ def _outcome(parse):
 
 
 _PLAIN_IDS = st.sampled_from(["a", "b", " a ", "b\t", "", "p 1", "a\x00"])
-_QUOTED_IDS = st.sampled_from(['"a"', '" b"', '"a,b"', '"a""b"', '"x\ny"', '"x\r\ny"', '""', '"a"b'])
+_QUOTED_IDS = st.sampled_from(['"a"', '" b"', '"a,b"', '"a""b"', '"x\ny"', '"x\r\ny"', '""', '"a"b',
+                               ' "a"', '"a" '])
 _NUMBERS = st.one_of(
     st.sampled_from(["0", "50", "100", "-0", " 1.5 ", "1_0", "\uff11", "nan", "inf", "-1",
-                     "-150", "150", "1e999", "", "x", '"5"', "\u20031"]),
+                     "-150", "150", "1e999", "", "x", '"5"', "\u20031", '"1.5"', '" 1"',
+                     '"1""5"', '"nan"']),
     st.floats(-20.0, 120.0).map(repr),
 )
 _ROWS = st.builds(lambda pid, x, y, value, extra: ",".join([pid, x, y, value]) + extra,
@@ -285,8 +290,23 @@ class TestParseMatchesRowLoop:
         text = ('player_id,x,y,value\n"Smith, J",50,50,1\n' + "b,40,40,1\n" * (2 * n - 1)
                 + "b,30,30,1\n" * 10)
         groups, drops = ps.parse_activity_groups(io.StringIO(text))
-        assert calls == [n, 10]
+        assert calls == [n, n, 10]
         assert list(groups) == ["Smith, J", "b"] and len(groups["b"]) == 2 * n + 9
+
+    def test_quote_all_export_goes_to_loadtxt_alone(self, monkeypatch):
+        # an exporter that quotes every field, as csv.QUOTE_ALL does
+        rng = np.random.default_rng(24)
+        rows = [(f"p {i % 7}", *rng.uniform(-10, 110, 2), rng.uniform(-0.5, 2.0))
+                for i in range(heatmap._BLOCK_LINES + 500)]
+        plain, quoted = io.StringIO(newline=""), io.StringIO(newline="")
+        csv.writer(plain).writerows([heatmap.CSV_HEADER, *rows])
+        csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows([heatmap.CSV_HEADER, *rows])
+        assert quoted.getvalue().count('"') == 8 * (len(rows) + 1)
+        want = _outcome(lambda: ps.parse_activity_groups(io.StringIO(plain.getvalue())))
+        monkeypatch.setattr(heatmap, "_csv_block",
+                            lambda *args: pytest.fail("csv.reader read a quoted block"))
+        got = _outcome(lambda: ps.parse_activity_groups(io.StringIO(quoted.getvalue())))
+        assert got == want and want[1].total > 0
 
 
 class TestRasterize:
@@ -567,3 +587,14 @@ class TestHeatmapJson:
                 {"player_id": "p", "rows": 2, "cols": 2,
                  "cells": [1.0, -0.5, 0.0, 0.0], "normalized": False}
             )
+
+    @pytest.mark.parametrize("pid", ["\ud800x", "a\udfff"])
+    def test_player_id_without_utf8_form_rejected(self, pid):
+        # json.loads turns an escaped lone surrogate into such a str
+        doc = json.loads(json.dumps({"player_id": pid, "rows": 2, "cols": 2,
+                                     "cells": [0.25] * 4, "normalized": True}))
+        assert doc["player_id"] == pid
+        with pytest.raises(MalformedHeatmap, match="^heatmap field 'player_id' must be UTF-8"):
+            ps.heatmap_from_json(doc)
+        doc["player_id"] = "\U0001f600"  # a code point beyond U+FFFF is fine
+        assert ps.heatmap_from_json(doc).player_id == "\U0001f600"
