@@ -18,17 +18,16 @@ __version__ = "0.1.0"
 _HOMES = {
     "cluster": ("Dendrogram", "Merge", "clusters_to_csv", "complete_linkage", "cut",
                 "export_newick", "merges_to_json"),
-    "errors": ("AsymmetricInput", "EmptyInput", "EmptyWeights", "GridMismatch",
-               "InsufficientPermutations", "InvalidDimension", "IsolatedCell",
-               "MalformedHeatmap", "MalformedRecord", "NaNInput", "NonpositiveBandwidth",
-               "PitchsimError", "TooLarge", "UnknownPlayer", "ZeroMass", "ZeroVariance"),
+    "errors": ("AsymmetricInput", "EmptyInput", "GridMismatch", "InsufficientPermutations",
+               "InvalidDimension", "IsolatedCell", "MalformedHeatmap", "MalformedRecord",
+               "NaNInput", "NonpositiveBandwidth", "PitchsimError", "UnknownPlayer", "ZeroMass",
+               "ZeroVariance"),
     "grid": ("DEFAULT_EXTENT", "PitchGrid", "WeightsMatrix", "adjacency", "build_grid"),
     "heatmap": ("MIN_BANDWIDTH", "DropCounts", "Heatmap", "heatmap_from_json",
                 "heatmap_to_json", "normalize", "parse_activity_groups", "rasterize"),
     "roster": ("RosterMatrix", "compute_matrix", "matrix_to_json", "pair_seed", "pair_test",
                "pairs_to_csv"),
-    "stats": ("EXACT_MAX_CELLS", "PreparedCells", "TestResult", "exact_permutation_test",
-              "lees_l", "morans_i", "permutation_test", "prepare_cells"),
+    "stats": ("PreparedCells", "TestResult", "lees_l", "permutation_test", "prepare_cells"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

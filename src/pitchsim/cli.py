@@ -50,7 +50,10 @@ def _raw_settings(args: argparse.Namespace):
     given; ``--config`` names a file of key=value lines, where '#' starts a comment."""
     # the command's parser defines (as None) exactly the settings it takes
     path, keys = args.config, [key for key in _SETTINGS if key in vars(args)]
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines() if path else []
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines() if path else []
+    except ValueError as exc:  # not UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -178,7 +181,7 @@ def cmd_rasterize(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     for path in args.csv_paths:
         try:
             groups, drops = parse_activity_groups(path, extent=grid.extent)
-        except PitchsimError as exc:
+        except (PitchsimError, ValueError) as exc:  # ValueError: not UTF-8
             raise PitchsimError(f"{path}: {exc}") from exc
         total_drops += drops.total
         for player_id, points in groups.items():

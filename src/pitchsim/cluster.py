@@ -149,8 +149,8 @@ def cut(dend: Dendrogram, height: float) -> list[int]:
 
 
 def _newick_name(name: str) -> str:
-    unsafe = set(" \t\n()[]{}:;,='\"")
-    if any(ch in unsafe for ch in name) or not name:
+    # Newick readers skip unquoted whitespace, of any kind
+    if not name or any(ch.isspace() or ch in "()[]{}:;,='\"" for ch in name):
         return "'" + name.replace("'", "''") + "'"
     return name
 

@@ -33,20 +33,12 @@ class ZeroVariance(PitchsimError):
     """A cell vector is constant; the statistic is undefined."""
 
 
-class EmptyWeights(PitchsimError):
-    """The weights matrix has no nonzero entries."""
-
-
 class IsolatedCell(PitchsimError):
     """A cell has no neighbours (zero row sum in the weights matrix)."""
 
 
 class InsufficientPermutations(PitchsimError):
     """Permutation count must be at least 1."""
-
-
-class TooLarge(PitchsimError):
-    """Problem size exceeds the exhaustive-enumeration limit."""
 
 
 class GridMismatch(PitchsimError):

@@ -1,4 +1,4 @@
-"""Global Moran's I, Lee's bivariate L, and permutation inference.
+"""Lee's bivariate L and permutation inference.
 
 Significance is assessed with a conditional Monte Carlo permutation test:
 the cell labels of the second variable are relabeled uniformly at random,
@@ -18,24 +18,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import permutations as iter_permutations
 
 import numpy as np
 
 from . import _HOMES
-from .errors import (
-    EmptyWeights,
-    InsufficientPermutations,
-    IsolatedCell,
-    TooLarge,
-    ZeroVariance,
-)
+from .errors import InsufficientPermutations, IsolatedCell, ZeroVariance
 from .grid import WeightsMatrix
 
 __all__ = list(_HOMES["stats"])
-
-# n! enumeration cap for the exact test (8! = 40320)
-EXACT_MAX_CELLS = 8
 
 # bytes of relabeled cells drawn per chunk of the stream
 _PERM_BYTES = 2 << 20
@@ -108,30 +98,6 @@ def _center(v: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     if ss <= 0.0 or v.min() == v.max():
         raise ZeroVariance(f"{name} is constant")
     return vc, ss
-
-
-def morans_i(x, w: WeightsMatrix) -> float:
-    """Global Moran's I of one cell vector.
-
-    I = [n / sum_ij w_ij] * [sum_ij w_ij (x_i - xbar)(x_j - xbar)]
-        / [sum_i (x_i - xbar)^2]
-
-    Positive values mean neighbouring cells tend to sit on the same side of
-    the mean; negative values mean they alternate.
-
-    Raises
-    ------
-    ZeroVariance
-        If ``x`` is constant.
-    EmptyWeights
-        If the weights matrix has no nonzero entries.
-    """
-    x = _as_vector(x, w.n, "x")
-    if w.nnz == 0:
-        raise EmptyWeights("weights matrix has no nonzero entries")
-    xc, ssx = _center(x, "x")
-    num = float(xc @ w.lag(xc))
-    return (w.n / w.nnz) * (num / ssx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,28 +232,6 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     chunks = (gen.permuted(np.broadcast_to(y.vc, (m, w.n)), axis=1, out=buf[:m])
               for m in (min(rows, n_perm - start) for start in range(0, n_perm, rows)))
     return _score(x, y, chunks, n_perm, int(seed))
-
-
-def exact_permutation_test(x, y, w: WeightsMatrix) -> TestResult:
-    """Exhaustive permutation test over all n! relabelings of ``y``.
-
-    The identity relabeling is part of the enumeration, so the p-value is
-    (count of relabelings with L >= observed) / n!, which follows the same
-    inclusive convention as :func:`permutation_test`. Deterministic; the
-    reported seed is 0.
-
-    Raises
-    ------
-    TooLarge
-        If the grid has more than ``EXACT_MAX_CELLS`` cells.
-    """
-    n = w.n
-    if n > EXACT_MAX_CELLS:
-        raise TooLarge(f"exact test enumerates n! permutations; n={n} exceeds {EXACT_MAX_CELLS}")
-    x, y = _prepared(x, y, w)
-    perms = np.array(list(iter_permutations(range(n))), dtype=np.intp)
-    # the identity is enumerated first; it is the observed arrangement
-    return _score(x, y, [y.vc[perms[1:]]], perms.shape[0] - 1, 0)
 
 
 def _score(x: PreparedCells, y: PreparedCells, chunks, n_perm: int, seed: int) -> TestResult:

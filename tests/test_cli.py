@@ -157,6 +157,20 @@ class TestRasterize:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_non_utf8_file_fails_with_one_error_line_naming_it(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        _write_csv(good, [("a", (50.0, 50.0, 1.0))])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"player_id,x,y,value\n\xff,50,50,1\n")
+        out = tmp_path / "out"
+        assert main(["rasterize", str(good), str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+        assert "can't decode byte 0xff" in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_error_after_a_multiline_id_names_its_physical_line(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         path.write_text('player_id,x,y,value\n"a\nb",50,50,1\nc,x,1,1\n', encoding="utf-8")
@@ -779,6 +793,15 @@ class TestConfig:
         assert main(["rasterize", "x.csv", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_fails_with_one_error_line_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"rows=7\ncols=\xff\n")
+        assert main(["rasterize", "x.csv", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: ")
+        assert "can't decode byte 0xff" in lines[0]
 
     def test_unconvertible_config_value_names_file_line_and_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -366,6 +366,11 @@ class TestNewick:
         dend = ps.complete_linkage(np.array([[0.0, 0.5], [0.5, 0.0]]), ids)
         names, _ = parse_newick(ps.export_newick(dend))
         assert names == ids
+        # Newick readers skip unquoted whitespace of every kind, not only
+        # space, tab and newline
+        for name in ["a\rb", "a\vb", "a\fb", "a\x1fb", "a\u00a0b", "a\u2003b", "a\u3000b"]:
+            dend = ps.complete_linkage(np.array([[0.0, 0.5], [0.5, 0.0]]), [name, "z"])
+            assert ps.export_newick(dend) == f"('{name}':0.25,z:0.25);"
 
     def test_round_trip_preserves_branch_lengths(self):
         rng = np.random.default_rng(21)
