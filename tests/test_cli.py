@@ -702,6 +702,25 @@ class TestMalformedHeatmap:
         assert err[0].startswith(f"error: {bad}: ")
         assert repr(field) in err[0]
 
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_non_utf8_file_fails_with_one_error_line_naming_it(self, five_heatmap_dir,
+                                                                tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"player_id": "\xff"}')
+        paths = _heatmap_args(five_heatmap_dir)
+        argv = [command, str(bad), *paths[1:]]
+        if command == "compare":
+            argv[1:1] = ["gk", "fwd"]
+        else:
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+        assert "can't decode byte 0xff" in lines[0]
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_not_an_object(self, five_heatmap_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Lee's L and the permutation test."""
+"""Lee's L, the permutation test, and the references they are checked against."""
 
 import math
 import tracemalloc
@@ -17,6 +17,7 @@ from oracles import (
     indexed_stream_scores,
     lee_batch_dense,
     lee_formula,
+    moran_formula,
 )
 
 CHECKER_2X2 = np.array([1.0, -1.0, -1.0, 1.0])
@@ -38,6 +39,93 @@ def _chunk_rows(w):
 def _checkerboard(rows, cols):
     r, c = np.divmod(np.arange(rows * cols), cols)
     return np.where((r + c) % 2 == 0, 1.0, -1.0)
+
+
+def _philox_perms(n, n_perm, seed):
+    """The relabelings that ``permutation_test`` draws for ``seed``, regenerated."""
+    perms = np.tile(np.arange(n), (n_perm, 1))
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    gen.permuted(perms, axis=1, out=perms)
+    return perms
+
+
+def _every_arrangement_scored(x, y, w):
+    """``lees_l`` of ``x`` against every relabeling of ``y``, identity first."""
+    y = np.asarray(y, dtype=float)
+    return [ps.lees_l(x, y[list(p)], w) for p in permutations(range(w.n))]
+
+
+def _tie_tolerant_p(scores):
+    """Share of ``scores`` at or above the first, counted as ``exhaustive_p`` counts."""
+    tol = 1e-9 * (1.0 + abs(scores[0]))
+    return sum(s >= scores[0] - tol for s in scores) / len(scores)
+
+
+class TestMoransI:
+    """Moran's I by the term-by-term reference on the package's weights.
+
+    Acceptance test 2 computes Moran's I as ``moran_formula`` of
+    ``adjacency(...).to_dense()``, so these pin that reference on fields with
+    known answers and check the package's lag against its double sum.
+    """
+
+    def test_checkerboard_is_minus_one(self):
+        assert moran_formula(CHECKER_2X2, _rook(2, 2).to_dense()) == -1.0
+
+    def test_row_gradient_is_half(self):
+        x = np.repeat([0.0, 1.0, 2.0], 3)
+        assert moran_formula(x, _rook(3, 3).to_dense()) == 0.5
+
+    @pytest.mark.parametrize("rows,cols", [(4, 4), (4, 6), (6, 6)])
+    def test_checkerboard_negative_split_positive(self, rows, cols):
+        dense = _rook(rows, cols).to_dense()
+        assert moran_formula(_checkerboard(rows, cols), dense) < 0.0
+        r, c = np.divmod(np.arange(rows * cols), cols)
+        split = np.where(c < cols // 2, 0.0, 1.0)
+        assert moran_formula(split, dense) > 0.0
+
+    def test_matches_oracle_on_random_fields(self):
+        # (n / S0) xc . W xc / xc . xc through WeightsMatrix.lag and nnz
+        rng = np.random.default_rng(5)
+        for rows, cols, scheme in ((2, 2, "rook"), (3, 4, "queen"), (4, 4, "rook")):
+            w = ps.adjacency(ps.build_grid(rows, cols), scheme)
+            dense = w.to_dense()
+            for _ in range(10):
+                x = rng.normal(size=w.n)
+                xc = x - x.mean()
+                got = w.n / w.nnz * float(xc @ w.lag(xc)) / float(xc @ xc)
+                assert got == pytest.approx(moran_formula(x, dense), rel=1e-12)
+
+    def test_matches_oracle_on_random_weights(self):
+        # non-lattice weights from pairs: lag, nnz and to_dense agree
+        rng = np.random.default_rng(9)
+        for n in (3, 5, 8):
+            pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+            pairs |= {(i, i + 1) for i in range(n - 1)}  # no isolated cell
+            w = ps.WeightsMatrix.from_pairs(n, sorted(pairs))
+            dense = w.to_dense()
+            assert w.nnz == 2 * len(pairs) == dense.sum()
+            x = rng.normal(size=n)
+            xc = x - x.mean()
+            got = n / w.nnz * float(xc @ w.lag(xc)) / float(xc @ xc)
+            assert got == pytest.approx(moran_formula(x, dense), rel=1e-12)
+
+    def test_constant_field_rejected(self):
+        # Moran's I divides by zero; the package refuses the field first
+        w = _rook(2, 2)
+        with pytest.raises(ZeroDivisionError):
+            moran_formula(np.ones(4), w.to_dense())
+        with pytest.raises(ZeroVariance):
+            ps.prepare_cells(np.ones(4), w)
+
+    def test_empty_weights_rejected(self):
+        # S0 = 0 leaves Moran's I undefined; the package refuses every cell
+        w = ps.WeightsMatrix.from_pairs(3, [])
+        x = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ZeroDivisionError):
+            moran_formula(x, w.to_dense())
+        with pytest.raises(IsolatedCell, match="^cell 0 has no neighbours$"):
+            ps.prepare_cells(x, w)
 
 
 class TestLeesL:
@@ -104,9 +192,16 @@ class TestLeesL:
         with pytest.raises(ValueError, match="non-finite"):
             ps.lees_l(bad, CHECKER_2X2, w)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="^y has length 3, expected 4$"):
-            ps.lees_l(CHECKER_2X2, np.ones(3), _rook(2, 2))
+    @pytest.mark.parametrize("call,message", [
+        (lambda w: ps.lees_l(CHECKER_2X2, np.ones(3), w), "y has length 3, expected 4"),
+        (lambda w: ps.lees_l(np.ones(5), CHECKER_2X2, w), "x has length 5, expected 4"),
+        (lambda w: ps.prepare_cells(np.ones(3), w, "y"), "y has length 3, expected 4"),
+        (lambda w: ps.permutation_test(np.ones(3), CHECKER_2X2, w, n_perm=9),
+         "x has length 3, expected 4"),
+    ], ids=["lees_l-y", "lees_l-x", "prepare_cells", "permutation_test"])
+    def test_length_mismatch_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(_rook(2, 2))
 
 
 class TestPermutationTest:
@@ -431,6 +526,17 @@ class TestPreparedCells:
             assert repr(ps.permutation_test(a, b, w, n_perm=n_perm, seed=17)) == repr(raw)
         assert ps.lees_l(px, py, w) == ps.lees_l(x, y, w) == raw.statistic
 
+    def test_exact_test_agrees(self):
+        # scoring every arrangement through records gives the raw scores and the oracle's p
+        w = _queen(2, 3)
+        rng = np.random.default_rng(13)
+        x, y = rng.normal(size=6), rng.normal(size=6)
+        px = ps.prepare_cells(x, w)
+        scores = [ps.lees_l(px, ps.prepare_cells(y[list(p)], w, "y"), w)
+                  for p in permutations(range(6))]
+        assert scores == _every_arrangement_scored(x, y, w)
+        assert _tie_tolerant_p(scores) == exhaustive_p(x, y, w.to_dense())[0]
+
     def test_record_holds_the_centered_cells_and_their_lags(self):
         w = _queen(4, 5)
         x = np.random.default_rng(3).random(w.n)
@@ -494,23 +600,37 @@ class TestPreparedCells:
             ps.lees_l(flat, other, w)
 
 
-class TestTies:
-    """Relabelings that tie with the observed arrangement count as >= it."""
+class TestExactPermutationTest:
+    """The exact test by full enumeration, ``oracles.exhaustive_p``.
+
+    Acceptance test 3 checks the Monte Carlo p against it. Relabelings that
+    tie with the observed arrangement count as >= it, in both tests.
+    """
+
+    def test_two_cells(self):
+        w = ps.WeightsMatrix.from_pairs(2, [(0, 1)])
+        x = np.array([0.0, 1.0])
+        assert exhaustive_p(x, x, w.to_dense()) == (0.5, pytest.approx(1.0, rel=1e-12))
+        assert exhaustive_p(x, x[::-1], w.to_dense()) == (1.0, pytest.approx(-1.0, rel=1e-12))
+        # every relabeling of the flipped field is at or above its L = -1
+        flipped = ps.permutation_test(x, x[::-1], w, n_perm=9, seed=2)
+        assert (flipped.n_ge, flipped.p_value) == (9, 1.0)
+        aligned = ps.permutation_test(x, x, w, n_perm=9, seed=2)
+        kept = int(np.count_nonzero(_philox_perms(2, 9, 2)[:, 0] == 0))
+        assert aligned.n_ge == kept
 
     def test_checkerboard_ties_counted_inclusively(self):
         # a relabeling that keeps each cell in its colour class reproduces
         # the observed L = 1 exactly: 2 * 2 of the 24 arrangements
         w = _rook(2, 2)
+        assert exhaustive_p(CHECKER_2X2, CHECKER_2X2, w.to_dense()) == (4 / 24, 1.0)
         n_perm, seed = 300, 4
         res = ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=n_perm, seed=seed)
         assert res.statistic == 1.0
-        perms = np.tile(np.arange(4), (n_perm, 1))
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        gen.permuted(perms, axis=1, out=perms)
+        perms = _philox_perms(4, n_perm, seed)
         same = int(np.count_nonzero((CHECKER_2X2[perms] == CHECKER_2X2).all(axis=1)))
         assert res.n_ge == same
         assert 0 < same < n_perm
-
     def test_lattice_symmetry_ties_counted(self):
         # On the 2x2 rook lattice W^T W xc is constant on each diagonal pair
         # of cells, so every relabeling that swaps within the pairs has the
@@ -526,9 +646,7 @@ class TestTies:
         # centering of y and the denominator do not depend on pi.
         n_perm, seed = 300, 8
         res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
-        perms = np.tile(np.arange(4), (n_perm, 1))
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        gen.permuted(perms, axis=1, out=perms)
+        perms = _philox_perms(4, n_perm, seed)
         dense = w.to_dense()
         xf = [Fraction(v) for v in x]
         xs = [4 * v - sum(xf) for v in xf]
@@ -543,3 +661,23 @@ class TestTies:
         want = sum(key(p) >= observed for p in perms)
         assert res.n_ge == want
         assert 0 < want < n_perm
+
+    def test_monte_carlo_converges_to_exact(self):
+        w = _rook(2, 2)
+        p_exact, _ = exhaustive_p(CHECKER_2X2, CHECKER_2X2, w.to_dense())
+        mc = ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=10000, seed=3)
+        se = math.sqrt(p_exact * (1 - p_exact) / 10000)
+        assert abs(mc.p_value - p_exact) <= 3.0 * se
+
+    def test_matches_oracle_on_random_fields(self):
+        # every arrangement scored by lees_l gives the oracle's L and p
+        rng = np.random.default_rng(0)
+        w4, w6 = _rook(2, 2), _queen(2, 3)
+        for _ in range(4):
+            for w in (w4, w6):
+                x = rng.normal(size=w.n)
+                y = rng.normal(size=w.n)
+                scores = _every_arrangement_scored(x, y, w)
+                p_oracle, l_oracle = exhaustive_p(x, y, w.to_dense())
+                assert _tie_tolerant_p(scores) == p_oracle
+                assert scores[0] == pytest.approx(l_oracle, rel=1e-12)
