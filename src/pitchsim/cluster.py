@@ -160,7 +160,14 @@ def export_newick(dend: Dendrogram) -> str:
 
     Node elevations are half the merge heights, so the tree distance
     between two leaves equals the height of their first common merge.
+
+    Raises
+    ------
+    ValueError
+        If a merge height is not finite: it has no Newick branch length.
     """
+    if not np.isfinite([m.height for m in dend.merges]).all():
+        raise ValueError("merge heights must be finite for Newick export")
     k = dend.n_leaves
     elevation = [0.0] * k + [m.height / 2.0 for m in dend.merges]
     # each node's text without its branch length, built in merge order:

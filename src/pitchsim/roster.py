@@ -71,30 +71,13 @@ def pair_seed(master_seed: int, a, b) -> int:
     int in [0, 2**64).
     """
     check_seed(master_seed, "master seed")
-    return _seed(master_seed, _digest(a), _digest(b))
-
-
-def _digest(pid) -> int:
-    return int.from_bytes(hashlib.blake2b(str(pid).encode("utf-8"), digest_size=8).digest(),
-                          "little")
-
-
-def _seed(master_seed: int, da: int, db: int) -> int:
-    lo, hi = sorted((da, db))
+    digests = (hashlib.blake2b(str(pid).encode("utf-8"), digest_size=8).digest() for pid in (a, b))
+    lo, hi = sorted(int.from_bytes(d, "little") for d in digests)
     words = np.array([master_seed, lo, hi], dtype=np.uint64)
     return int(np.random.SeedSequence(words).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class _Player:
-    """What every pair test of one player needs from that player alone."""
-
-    player_id: str
-    digest: int
-    cells: PreparedCells
-
-
-def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[_Player]:
+def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[tuple[str, PreparedCells]]:
     """Each player's half of every pair test on ``w``; the one place the per-player
     rules (a distinct id, on the grid of ``w``, normalized, not constant) are checked."""
     seen = set()
@@ -113,16 +96,16 @@ def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[_Player]:
             cells = prepare_cells(h.cells, w)
         except ZeroVariance:
             raise ZeroVariance(f"player {h.player_id!r} has a constant heatmap") from None
-        players.append(_Player(h.player_id, _digest(h.player_id), cells))
+        players.append((h.player_id, cells))
     return players
 
 
-def _test(a: _Player, b: _Player, n_perm: int, master_seed: int) -> TestResult:
+def _test(players, n_perm: int, master_seed: int, pair: tuple[int, int]) -> TestResult:
+    """Test of the ``players`` at the indices ``pair``; the id that sorts first is held fixed."""
+    (a, x), (b, y) = sorted((players[i] for i in pair), key=operator.itemgetter(0))
     # permutation_test is looked up here at call time, so a wrapper
     # installed on this module sees every pair test
-    x, y = (a, b) if a.player_id <= b.player_id else (b, a)
-    seed = _seed(master_seed, x.digest, y.digest)
-    return permutation_test(x.cells, y.cells, x.cells.w, n_perm=n_perm, seed=seed)
+    return permutation_test(x, y, x.w, n_perm=n_perm, seed=pair_seed(master_seed, a, b))
 
 
 def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
@@ -140,12 +123,7 @@ def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
     check_seed(master_seed, "master seed")
     check_n_perm(n_perm)
     players = _prepare([a] if a is b else [a, b], w)
-    return _test(players[0], players[-1], n_perm, master_seed)
-
-
-def _pair(players, n_perm, master_seed, pair: tuple[int, int]) -> tuple[int, int, TestResult]:
-    i, j = pair
-    return i, j, _test(players[i], players[j], n_perm, master_seed)
+    return _test(players, n_perm, master_seed, (0, len(players) - 1))
 
 
 def compute_matrix(
@@ -163,8 +141,8 @@ def compute_matrix(
     permutes the matrix, adding a player leaves every existing entry
     unchanged, and results are bitwise identical for any worker count and
     any pair scheduling order. Each player's half of the work (checks,
-    centering, spatial lags, id digest) is done once, so the pair loop does
-    only per-pair work. A pool of ``min(workers, pairs, CPUs)`` processes
+    centering, spatial lags) is done once; each pair test digests the two
+    ids into its seed. A pool of ``min(workers, pairs, CPUs)`` processes
     maps one bound pair test over chunks of pairs, each chunk carrying the
     prepared players; with one process, the pairs run in this process. No
     module state is kept, so several threads may call this at once.
@@ -194,7 +172,7 @@ def compute_matrix(
     # the pool starts all its processes at once
     workers = min(workers, len(pairs), os.cpu_count() or 1)
 
-    test = partial(_pair, players, n_perm, master_seed)
+    test = partial(_test, players, n_perm, master_seed)
     pmat = np.empty((k, k))
     lmat = np.empty((k, k))
     with ExitStack() as stack:
@@ -208,7 +186,7 @@ def compute_matrix(
             pool = stack.enter_context(ProcessPoolExecutor(workers))
             results = pool.map(test, pairs, chunksize=max(1, len(pairs) // (workers * 4)))
         # position-addressed writes: scheduling order never affects the matrix
-        for i, j, res in results:
+        for (i, j), res in zip(pairs, results):
             pmat[i, j] = pmat[j, i] = res.p_value
             lmat[i, j] = lmat[j, i] = res.statistic
 
@@ -216,8 +194,8 @@ def compute_matrix(
         player_ids=tuple(h.player_id for h in heatmaps),
         pseudo_distance=pmat,
         statistic=lmat,
-        n_perm=n_perm,
-        master_seed=master_seed,
+        n_perm=operator.index(n_perm),
+        master_seed=operator.index(master_seed),
     )
 
 

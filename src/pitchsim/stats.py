@@ -231,7 +231,7 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     buf = np.empty((rows, w.n))
     chunks = (gen.permuted(np.broadcast_to(y.vc, (m, w.n)), axis=1, out=buf[:m])
               for m in (min(rows, n_perm - start) for start in range(0, n_perm, rows)))
-    return _score(x, y, chunks, n_perm, int(seed))
+    return _score(x, y, chunks, operator.index(n_perm), int(seed))
 
 
 def _score(x: PreparedCells, y: PreparedCells, chunks, n_perm: int, seed: int) -> TestResult:

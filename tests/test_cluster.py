@@ -395,6 +395,15 @@ class TestNewick:
         assert all(math.isclose(t, dend.merges[-1].height / 2.0, rel_tol=1e-12)
                    for t in total)
 
+    def test_infinite_merge_height_rejected(self):
+        # complete linkage merges at inf once nothing finite is left; inf - inf
+        # would write a nan branch length, and neither is Newick
+        d = np.full((3, 3), math.inf)
+        dend = ps.complete_linkage(d, ["a", "b", "c"])
+        assert [m.height for m in dend.merges] == [math.inf, math.inf]
+        with pytest.raises(ValueError, match=r"^merge heights must be finite for Newick export$"):
+            ps.export_newick(dend)
+
     def test_deep_chain_does_not_recurse(self):
         # each merge adds one leaf to the previous cluster: 4,999 levels deep
         k = 5000

@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pitchsim as ps
 from pitchsim import roster
@@ -526,6 +528,56 @@ class TestPairTest:
         assert np.array_equal(m.pseudo_distance,
                               five_matrix.pseudo_distance[np.ix_(order, order)])
         assert np.array_equal(m.statistic, five_matrix.statistic[np.ix_(order, order)])
+
+
+@st.composite
+def _small_rosters(draw):
+    """2-4 players with distinct ids of any non-surrogate text, in random order,
+    and positive normalized cells on a 3x3 grid."""
+    grid = ps.build_grid(3, 3)
+    ids = draw(st.lists(st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+                        min_size=2, max_size=4, unique=True))
+    cell = st.floats(0.01, 1.0, allow_nan=False, allow_infinity=False)
+    players = []
+    for pid in ids:
+        cells = np.array(draw(st.lists(cell, min_size=9, max_size=9)
+                              .filter(lambda c: min(c) < max(c))))
+        players.append(ps.normalize(ps.Heatmap(player_id=pid, grid=grid, cells=cells)))
+    return draw(st.permutations(players))
+
+
+class TestPairJob:
+    @settings(max_examples=25, deadline=None)
+    @given(heatmaps=_small_rosters(), master=st.integers(0, (1 << 64) - 1))
+    def test_matrix_entries_are_the_pair_tests_on_any_ids(self, heatmaps, master):
+        w = ps.adjacency(heatmaps[0].grid, "queen")
+        m = ps.compute_matrix(heatmaps, w, n_perm=9, master_seed=master, workers=1)
+        for i, a in enumerate(heatmaps):
+            for j, b in enumerate(heatmaps):
+                res = ps.pair_test(a, b, w, n_perm=9, master_seed=master)
+                x, y = sorted((a, b), key=lambda h: h.player_id)
+                assert res == ps.permutation_test(
+                    x.cells, y.cells, w, n_perm=9,
+                    seed=ps.pair_seed(master, x.player_id, y.player_id))
+                assert (m.pseudo_distance[i, j], m.statistic[i, j]) == \
+                    (res.p_value, res.statistic)
+
+    @pytest.mark.parametrize("n_perm,master_seed", [
+        (np.int64(9), np.uint64(3)),
+        (True, True),
+    ])
+    def test_numpy_and_bool_counts_are_stored_as_ints(self, five, weights, n_perm,
+                                                      master_seed):
+        m = ps.compute_matrix(five[:2], weights, n_perm=n_perm, master_seed=master_seed)
+        res = ps.pair_test(five[0], five[1], weights, n_perm=n_perm, master_seed=master_seed)
+        direct = ps.permutation_test(five[0].cells, five[1].cells, weights, n_perm=n_perm)
+        assert all(type(v) is int for v in (m.n_perm, m.master_seed, res.n_perm, direct.n_perm))
+        assert type(res.p_value) is float
+        assert f'"n_perm": {int(n_perm)}, "master_seed": {int(master_seed)},' in \
+            json.dumps(ps.matrix_to_json(m))
+        want = ps.compute_matrix(five[:2], weights, n_perm=int(n_perm),
+                                 master_seed=int(master_seed))
+        assert np.array_equal(m.pseudo_distance, want.pseudo_distance)
 
 
 class TestSerialization:
