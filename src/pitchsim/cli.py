@@ -246,7 +246,7 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     check_n_perm(cfg.n_perm)
     rm.check_workers(cfg.workers)
     heatmaps = _load_heatmaps(args.heatmap_paths, cfg)
-    rm.check_roster(heatmaps)
+    rm.check_roster(heatmaps, w)
 
     floor = 1.0 / (cfg.n_perm + 1)
     if math.isclose(cfg.cut, floor):

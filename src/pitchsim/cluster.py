@@ -155,6 +155,11 @@ def _newick_name(name: str) -> str:
     return name
 
 
+def _check_finite_heights(dend: Dendrogram, export: str) -> None:
+    if not np.isfinite([m.height for m in dend.merges]).all():
+        raise ValueError(f"merge heights must be finite for {export} export")
+
+
 def export_newick(dend: Dendrogram) -> str:
     """Newick text with ultrametric branch lengths.
 
@@ -166,8 +171,7 @@ def export_newick(dend: Dendrogram) -> str:
     ValueError
         If a merge height is not finite: it has no Newick branch length.
     """
-    if not np.isfinite([m.height for m in dend.merges]).all():
-        raise ValueError("merge heights must be finite for Newick export")
+    _check_finite_heights(dend, "Newick")
     k = dend.n_leaves
     elevation = [0.0] * k + [m.height / 2.0 for m in dend.merges]
     # each node's text without its branch length, built in merge order:
@@ -183,13 +187,17 @@ def export_newick(dend: Dendrogram) -> str:
 
 
 def merges_to_json(dend: Dendrogram) -> dict:
-    return {
-        "ids": list(dend.ids),
-        "merges": [
-            {"left": m.left, "right": m.right, "height": float(m.height)}
-            for m in dend.merges
-        ],
-    }
+    """The ids and the merges as a JSON-ready document.
+
+    Raises
+    ------
+    ValueError
+        If a merge height is not finite: JSON has no infinity.
+    """
+    _check_finite_heights(dend, "JSON")
+    return {"ids": list(dend.ids),
+            "merges": [{"left": m.left, "right": m.right, "height": float(m.height)}
+                       for m in dend.merges]}
 
 
 def clusters_to_csv(ids: list[str], labels: list[int]) -> str:

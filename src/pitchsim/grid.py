@@ -18,12 +18,6 @@ DEFAULT_EXTENT = (0.0, 0.0, 100.0, 100.0)
 SCHEMES = ("rook", "queen")
 
 
-def check_scheme(scheme) -> None:
-    """The contiguity-scheme rule: one of ``SCHEMES``."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be {' or '.join(SCHEMES)}, got {scheme!r}")
-
-
 @dataclass(frozen=True)
 class PitchGrid:
     """Regular lattice over the field, row-major flat indexing.
@@ -179,7 +173,8 @@ def adjacency(grid: PitchGrid, scheme: str = "queen") -> WeightsMatrix:
     sharing only a corner; any other ``scheme`` is refused. The result is
     symmetric with zero diagonal.
     """
-    check_scheme(scheme)
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be {' or '.join(SCHEMES)}, got {scheme!r}")
     # lattice steps in ascending order of their flat offset dr * cols + dc
     # (|dc| < cols), so each cell's neighbours come out in ascending order
     dr, dc = np.array([(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1)

@@ -53,10 +53,11 @@ def check_workers(workers) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def check_roster(heatmaps) -> None:
-    """The roster-size rule: at least 2 heatmaps."""
+def check_roster(heatmaps, w: WeightsMatrix) -> list[tuple[str, PreparedCells]]:
+    """At least 2 heatmaps, then :func:`_prepare`'s per-player rules; returns its players."""
     if len(heatmaps) < 2:
         raise ValueError(f"need at least 2 heatmaps, got {len(heatmaps)}")
+    return _prepare(heatmaps, w)
 
 
 def pair_seed(master_seed: int, a, b) -> int:
@@ -164,8 +165,7 @@ def compute_matrix(
     check_seed(master_seed, "master seed")
     check_n_perm(n_perm)
     check_workers(workers)
-    check_roster(heatmaps)
-    players = _prepare(heatmaps, w)
+    players = check_roster(heatmaps, w)
     k = len(players)
 
     pairs = [(i, j) for i in range(k) for j in range(i, k)]

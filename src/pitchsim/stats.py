@@ -77,29 +77,6 @@ def check_seed(seed, name: str = "seed") -> None:
         raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
 
 
-def _as_vector(values, n: int, name: str) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.shape[0] != n:
-        raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite values")
-    return v
-
-
-def _center(v: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """Mean-centered copy and its sum of squares; rejects constant input.
-
-    A constant vector's mean can round off its value, which would leave a
-    tiny nonzero constant instead of zeros, so constancy is tested on the
-    values themselves.
-    """
-    vc = v - v.mean()
-    ss = float(vc @ vc)
-    if ss <= 0.0 or v.min() == v.max():
-        raise ZeroVariance(f"{name} is constant")
-    return vc, ss
-
-
 @dataclass(frozen=True, eq=False)
 class PreparedCells:
     """One cell vector readied on ``w`` for Lee's L against any partner.
@@ -147,12 +124,21 @@ def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
     ZeroVariance
         If ``values`` is constant.
     """
-    v = _as_vector(values, w.n, name)
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.shape[0] != w.n:
+        raise ValueError(f"{name} has length {v.shape[0]}, expected {w.n}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite values")
     row_sums = w.row_sums()
     if np.any(row_sums == 0.0):
         isolated = int(np.flatnonzero(row_sums == 0.0)[0])
         raise IsolatedCell(f"cell {isolated} has no neighbours")
-    vc, ss = _center(v, name)
+    vc = v - v.mean()
+    ss = float(vc @ vc)
+    # a constant vector's mean can round off its value, leaving a tiny nonzero
+    # constant instead of zeros, so constancy is tested on the values themselves
+    if ss <= 0.0 or v.min() == v.max():
+        raise ZeroVariance(f"{name} is constant")
     lag = w.lag(vc)
     lag2 = w.lag(lag)
     for a in (vc, lag, lag2):
@@ -208,7 +194,7 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
 
     Holds ``x`` fixed, relabels the cells of ``y`` uniformly at random
     ``n_perm`` times, and counts permuted statistics at least as large as
-    the observed one (ties count, see :func:`_score`). Fully
+    the observed one (ties count, see the module docstring). Fully
     reproducible: the permutation stream is a counter-based generator keyed
     by ``seed``, so results do not depend on scheduling or thread count.
     ``x`` and ``y`` are cell vectors or :class:`PreparedCells` records on
@@ -221,26 +207,24 @@ def permutation_test(x, y, w: WeightsMatrix, n_perm: int = 999,
     ValueError
         If ``seed`` is outside [0, 2**64).
     """
+    n_perm = operator.index(n_perm)
     check_n_perm(n_perm)
     check_seed(seed)
     x, y = _prepared(x, y, w)
+    l_obs, u = _observed(x, y)
+    cut = l_obs - _TIE_RTOL * max(1.0, abs(l_obs))
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     # chunks continue one stream, so the draws ignore the chunk size; a
     # shuffle's swaps ignore the values moved, so each row is y.vc[pi] exactly
     rows = max(1, min(n_perm, _PERM_BYTES // (8 * w.n)))
     buf = np.empty((rows, w.n))
-    chunks = (gen.permuted(np.broadcast_to(y.vc, (m, w.n)), axis=1, out=buf[:m])
-              for m in (min(rows, n_perm - start) for start in range(0, n_perm, rows)))
-    return _score(x, y, chunks, operator.index(n_perm), int(seed))
-
-
-def _score(x: PreparedCells, y: PreparedCells, chunks, n_perm: int, seed: int) -> TestResult:
-    """Test result from chunks of relabeled ``y.vc`` (one per row), counted as
-    drawn; the one place ties are counted. L(pi) = y.vc[pi] @ u has mean 0 and
-    variance sum (u - mean u)^2 * sum y.vc^2 / (n - 1) exactly (Hoeffding 1951)."""
-    l_obs, u = _observed(x, y)
-    cut = l_obs - _TIE_RTOL * max(1.0, abs(l_obs))
-    n_ge = sum(int(np.count_nonzero(c @ u >= cut)) for c in chunks)
+    n_ge = 0
+    for start in range(0, n_perm, rows):
+        m = min(rows, n_perm - start)
+        chunk = gen.permuted(np.broadcast_to(y.vc, (m, w.n)), axis=1, out=buf[:m])
+        n_ge += int(np.count_nonzero(chunk @ u >= cut))  # the one place ties are counted
+    # L(pi) = y.vc[pi] @ u has mean 0 and variance sum (u - mean u)^2 *
+    # sum y.vc^2 / (n - 1) exactly (Hoeffding 1951)
     uc = u - u.mean()
     sd = math.sqrt(float(uc @ uc) / (u.shape[0] - 1)) * y.norm
     return TestResult(
@@ -249,5 +233,5 @@ def _score(x: PreparedCells, y: PreparedCells, chunks, n_perm: int, seed: int) -
         n_ge=n_ge,
         p_value=(n_ge + 1) / (n_perm + 1),
         z_score=l_obs / sd if u.min() < u.max() else float("nan"),
-        seed=seed,
+        seed=int(seed),
     )

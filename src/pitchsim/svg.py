@@ -50,11 +50,8 @@ def _document(width: float, height: float, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _rect(x, y, w, h, fill, extra="") -> str:
-    return (
-        f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-        f'fill="{fill}"{extra}/>'
-    )
+def _rect(x, y, w, h, fill) -> str:
+    return f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" fill="{fill}"/>'
 
 
 def _text(x, y, s, size=12, anchor="start") -> str:

@@ -396,8 +396,9 @@ class TestConstantHeatmap:
         if command == "compare":
             argv[1:1] = ["ramp", "flat"]
         else:
-            # the default cut warns about the p floor
-            argv += ["--cut", "0.5", "--out", str(tmp_path / "o")]
+            # at the default cut, which warns about the p floor once the roster
+            # passes its rules: a refused roster prints the error line alone
+            argv += ["--out", str(tmp_path / "o")]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: player 'flat' has a constant heatmap"]

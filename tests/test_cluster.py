@@ -455,6 +455,12 @@ class TestSerialization:
         assert len(doc["merges"]) == 4
         assert doc["merges"][0] == {"left": 0, "right": 1, "height": 1 / (N_PERM + 1)}
 
+    def test_infinite_merge_height_is_not_written_as_json(self):
+        # json.dumps would write the bare token Infinity, which no JSON parser reads
+        dend = ps.complete_linkage(np.full((3, 3), math.inf), ["a", "b", "c"])
+        with pytest.raises(ValueError, match=r"^merge heights must be finite for JSON export$"):
+            ps.merges_to_json(dend)
+
     def test_clusters_csv_text(self):
         text = ps.clusters_to_csv(["a", "b", "c"], [1, 1, 2])
         assert text == "player_id,cluster\na,1\nb,1\nc,2\n"

@@ -425,22 +425,23 @@ class TestRelabeledCells:
         x = stats.prepare_cells(rng.random(w.n), w)
         y = stats.prepare_cells(rng.random(w.n), w, "y")
         seed = 3 + n_perm
-        score, scores = stats._score, []
+        l_obs = ps.lees_l(x, y, w)
+        u = x.lag2 * (x.scale / (x.norm * y.norm))
+        drawn = []
 
-        def spy(x, y, chunks, n_perm, seed):
-            _, u = stats._observed(x, y)
+        class Recording(np.random.Generator):
+            # the buffer is reused, so each chunk is copied as it is drawn
+            def permuted(self, *args, **kwargs):
+                chunk = super().permuted(*args, **kwargs)
+                drawn.append(chunk.copy())
+                return chunk
 
-            def scored():
-                for c in chunks:
-                    scores.append(c @ u)
-                    yield c
-            return score(x, y, scored(), n_perm, seed)
-
-        monkeypatch.setattr(stats, "_score", spy)
-        res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
-        l_obs, u = stats._observed(x, y)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "Generator", Recording)
+            res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
+        scores = np.concatenate([c @ u for c in drawn])
         expected = indexed_stream_scores(u, y.vc, n_perm, seed, _chunk_rows(w))
-        assert np.concatenate(scores).tobytes() == expected.tobytes()
+        assert scores.tobytes() == expected.tobytes()
         n_ge = int(np.count_nonzero(expected >= l_obs - stats._TIE_RTOL * max(1.0, abs(l_obs))))
         assert (res.statistic, res.n_ge, res.p_value) == (l_obs, n_ge, (n_ge + 1) / (n_perm + 1))
 
