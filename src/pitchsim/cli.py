@@ -157,18 +157,16 @@ def _load_heatmaps(paths, cfg: argparse.Namespace):
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
             h = heatmap_from_json(doc, extent=DEFAULT_EXTENT)
+            if (h.grid.rows, h.grid.cols) != (cfg.rows, cfg.cols):
+                raise PitchsimError(f"heatmap grid {h.grid.rows}x{h.grid.cols} does not "
+                                    f"match configured {cfg.rows}x{cfg.cols}")
+            if h.player_id in seen:
+                raise PitchsimError(f"duplicate player id {h.player_id!r}")
+            heatmaps.append(normalize(h))
         except (PitchsimError, ValueError, RecursionError) as exc:
             # json.loads recurses once per nesting level
             raise PitchsimError(f"{path}: {exc}") from exc
-        if (h.grid.rows, h.grid.cols) != (cfg.rows, cfg.cols):
-            raise PitchsimError(
-                f"{path}: heatmap grid {h.grid.rows}x{h.grid.cols} does not match "
-                f"configured {cfg.rows}x{cfg.cols}"
-            )
-        if h.player_id in seen:
-            raise PitchsimError(f"{path}: duplicate player id {h.player_id!r}")
         seen.add(h.player_id)
-        heatmaps.append(normalize(h))
     return heatmaps
 
 
@@ -271,9 +269,7 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
 
     counts, edges = np.histogram(matrix.pseudo_distance[np.triu_indices(len(ids), 1)],
                                  bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    hist_lines = ["bin_start,bin_end,count"]
-    for b in range(HISTOGRAM_BINS):
-        hist_lines.append(f"{edges[b]!r},{edges[b + 1]!r},{int(counts[b])}")
+    bounds = edges.tolist()
 
     files = {
         "matrix.json": _dump_json(rm.matrix_to_json(matrix)),
@@ -287,7 +283,8 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
         "matrix_clustered.svg": matrix_svg(
             ordered_p, ordered_ids, title=f"pseudo-distance (clusters at cut={cfg.cut:g})"
         ),
-        "pvalue_histogram.csv": "\n".join(hist_lines) + "\n",
+        "pvalue_histogram.csv": "bin_start,bin_end,count\n" + "".join(
+            f"{a!r},{b!r},{n}\n" for a, b, n in zip(bounds, bounds[1:], counts.tolist())),
         "pvalue_histogram.svg": bar_chart_svg(
             edges, counts, title="pseudo-distance distribution"
         ),

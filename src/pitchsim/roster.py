@@ -94,7 +94,7 @@ def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[tuple[str, Prepa
         if not h.normalized:
             raise ValueError(f"heatmap {h.player_id!r} is not normalized")
         try:
-            cells = prepare_cells(h.cells, w)
+            cells = prepare_cells(h.cells, w, f"player {h.player_id!r}")
         except ZeroVariance:
             raise ZeroVariance(f"player {h.player_id!r} has a constant heatmap") from None
         players.append((h.player_id, cells))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
 from .grid import PitchGrid
@@ -42,19 +40,23 @@ def _ramp(t) -> list[str]:
     return [f"#{v:06x}" for v in (rgb @ [1 << 16, 1 << 8, 1]).tolist()]
 
 
-def _document(width: float, height: float, body: list[str]) -> str:
+def _document(width: float, height: float, margin: float, title: str, body: list[str]) -> str:
+    """The ``<svg>`` root around ``body``, after a title band when ``title`` is set."""
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">'
     )
-    return "\n".join([head, *body, "</svg>"]) + "\n"
+    band = [_text(margin, 16, title, size=14)] if title else []
+    return "\n".join([head, *band, *body, "</svg>"]) + "\n"
 
 
-def _rect(x, y, w, h, fill) -> str:
-    return f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" fill="{fill}"/>'
+def _cells(xs: list[str], y: float, size: str, fills) -> list[str]:
+    """One row of grid cells: a rect at each formatted x in ``xs``, its top edge at ``y``."""
+    y = f"{y:.2f}"
+    return [f'<rect x="{x}" y="{y}" {size} fill="{fill}"/>' for x, fill in zip(xs, fills)]
 
 
-def _text(x, y, s, size=12, anchor="start") -> str:
+def _text(x, y, s, size, anchor="start") -> str:
     return (
         f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
         f'font-family="sans-serif" text-anchor="{anchor}">{_escape(s)}</text>'
@@ -81,23 +83,20 @@ def heatmap_svg(grid: PitchGrid, cells: np.ndarray, title: str = "") -> str:
     header = 22.0 if title else 0.0
 
     body = []
-    if title:
-        body.append(_text(margin, 16, title, size=14))
     cw = grid.cell_width * scale
     ch = grid.cell_height * scale
     xs = [f"{margin + c * cw:.2f}" for c in range(grid.cols)]
-    # row 0 sits at the bottom of the field, SVG y grows downward
-    ys = [f"{header + margin + field_h - (r + 1) * ch:.2f}" for r in range(grid.rows)]
     size = f'width="{cw:.2f}" height="{ch:.2f}"'
     fills = _ramp(cells / top if top > 0 else np.zeros(grid.n))
-    # flat index r * cols + c: rows outer, columns inner
-    body.extend(f'<rect x="{x}" y="{y}" {size} fill="{fill}"/>'
-                for (y, x), fill in zip(product(ys, xs), fills))
+    # flat index r * cols + c; row 0 sits at the bottom of the field, SVG y grows downward
+    for r in range(grid.rows):
+        body += _cells(xs, header + margin + field_h - (r + 1) * ch, size,
+                       fills[r * grid.cols:(r + 1) * grid.cols])
     body.append(
         f'<rect x="{margin:.2f}" y="{header + margin:.2f}" width="{field_w:.2f}" '
         f'height="{field_h:.2f}" fill="none" stroke="white" stroke-width="1"/>'
     )
-    return _document(field_w + 2 * margin, field_h + header + 2 * margin, body)
+    return _document(field_w + 2 * margin, field_h + header + 2 * margin, margin, title, body)
 
 
 def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
@@ -112,8 +111,6 @@ def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
     size_y = header + margin + k * cell + margin + 4
 
     body = []
-    if title:
-        body.append(_text(margin, 16, title, size=14))
     x0 = margin + label_w
     y0 = header + margin
     xs = [f"{x0 + j * cell:.2f}" for j in range(k)]
@@ -123,10 +120,8 @@ def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
     colors = _ramp(distinct)
     for i, row in enumerate(which.reshape(values.shape).tolist()):
         body.append(_text(margin, y0 + i * cell + cell * 0.7, labels[i], size=10))
-        y = f"{y0 + i * cell:.2f}"
-        body.extend(f'<rect x="{x}" y="{y}" {size} fill="{colors[c]}"/>'
-                    for x, c in zip(xs, row))
-    return _document(size_x, size_y, body)
+        body += _cells(xs, y0 + i * cell, size, map(colors.__getitem__, row))
+    return _document(size_x, size_y, margin, title, body)
 
 
 def bar_chart_svg(edges: np.ndarray, counts: np.ndarray, title: str = "") -> str:
@@ -140,15 +135,14 @@ def bar_chart_svg(edges: np.ndarray, counts: np.ndarray, title: str = "") -> str
     plot_h = height - margin
 
     body = []
-    if title:
-        body.append(_text(margin, 16, title, size=14))
     nbins = len(counts)
     bar_w = plot_w / nbins if nbins else plot_w
     for b, count in enumerate(counts):
         h = plot_h * (count / top) if top > 0 else 0.0
         x = margin + b * bar_w
         y = header + plot_h - h
-        body.append(_rect(x, y, bar_w * 0.92, h, "#3e6db0"))
+        body.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w * 0.92:.2f}" '
+                    f'height="{h:.2f}" fill="#3e6db0"/>')
     body.append(_text(margin, header + plot_h + 14, f"{edges[0]:g}", size=10))
     body.append(_text(margin + plot_w, header + plot_h + 14, f"{edges[-1]:g}", size=10, anchor="end"))
-    return _document(width, height + header + 20, body)
+    return _document(width, height + header + 20, margin, title, body)

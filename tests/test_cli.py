@@ -370,7 +370,8 @@ class TestCompare:
             paths.append(str(path))
         assert main(["compare", "a", "b", *paths]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: heatmap 'a' has total activity inf, not finite and > 0\n"
+        assert captured.err == (f"error: {paths[0]}: heatmap 'a' has total activity inf, "
+                                "not finite and > 0\n")
         assert captured.out == ""
 
 
@@ -555,6 +556,13 @@ class TestCluster:
         assert len(lines) == 21
         assert sum(int(l.split(",")[2]) for l in lines[1:]) == 36
 
+    def test_histogram_edges_are_plain_decimals(self, nine_out):
+        _, out = nine_out
+        rows = [line.split(",") for line in
+                (out / "pvalue_histogram.csv").read_text().splitlines()[1:]]
+        edges = np.linspace(0.0, 1.0, 21).tolist()
+        assert [(float(a), float(b)) for a, b, _ in rows] == list(zip(edges, edges[1:]))
+
     def test_rerun_is_byte_identical(self, nine_out, tmp_path):
         hm_dir, out = nine_out
         again = tmp_path / "again"
@@ -655,12 +663,14 @@ class TestCluster:
                      "--cols", "10", "--out", str(hm)]) == 0
         files = sorted(str(p) for p in hm.glob("*.json"))
         assert main(["cluster", *files, "--out", str(tmp_path / "o")]) == 1
-        assert "does not match configured" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {files[0]}: heatmap grid 7x10 does not "
+                                           "match configured 14x20\n")
 
     def test_duplicate_player_id_fails(self, five_heatmap_dir, tmp_path, capsys):
         path = _heatmap_args(five_heatmap_dir)[0]
+        pid = json.loads(Path(path).read_text(encoding="utf-8"))["player_id"]
         assert main(["cluster", path, path, "--out", str(tmp_path / "o")]) == 1
-        assert "duplicate player id" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: duplicate player id {pid!r}\n"
 
     def test_single_heatmap_fails_writing_nothing(self, five_heatmap_dir, tmp_path, capsys):
         out = tmp_path / "o"

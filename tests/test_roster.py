@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import re
 import threading
 import weakref
 
@@ -271,6 +272,21 @@ class TestValidation:
                           cells=np.full(grid.n, 1.0 / grid.n), normalized=True)
         with pytest.raises(ZeroVariance, match="flat"):
             ps.compute_matrix([a, flat], weights, n_perm=9)
+
+    @pytest.mark.parametrize("cells, message", [
+        (np.r_[np.nan, np.full(11, 1.0 / 11)], "player 'odd' contains non-finite values"),
+        (np.full(5, 0.2), "player 'odd' has length 5, expected 12"),
+    ], ids=["nan", "short"])
+    @pytest.mark.parametrize("call", [
+        lambda a, b, w: ps.compute_matrix([a, b], w, n_perm=9),
+        lambda a, b, w: ps.pair_test(a, b, w, n_perm=9),
+    ], ids=["compute_matrix", "pair_test"])
+    def test_bad_cells_rejected_naming_player(self, cells, message, call):
+        small = ps.build_grid(3, 4)
+        a = ps.Heatmap(player_id="a", grid=small, cells=np.arange(12) / 66.0, normalized=True)
+        odd = ps.Heatmap(player_id="odd", grid=small, cells=cells, normalized=True)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            call(a, odd, ps.adjacency(small, "queen"))
 
     def test_unnormalized_heatmap_rejected(self, grid, weights):
         rng = np.random.default_rng(6)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pitchsim as ps
-from pitchsim.svg import heatmap_svg, matrix_svg
+from pitchsim.svg import bar_chart_svg, heatmap_svg, matrix_svg
 
 from oracles import RAMP_ANCHORS, color_ramp_scalar
 
@@ -75,3 +75,41 @@ class TestText:
         texts = [node.firstChild.data
                  for node in minidom.parseString(svg.encode()).getElementsByTagName("text")]
         assert texts == ["\ufffd & <t>", *["a\ufffdb"] * len(forbidden), *allowed]
+
+
+# each renderer on a small input, with its left margin and its size without a title
+FRAMES = {
+    "heatmap": (lambda title: heatmap_svg(ps.build_grid(3, 5, extent=(0.0, 0.0, 105.0, 68.0)),
+                                          np.arange(15.0), title=title), 10, 650, 428),
+    "matrix": (lambda title: matrix_svg(np.eye(3), ["a", "bb", "ccc"], title=title), 10, 98, 78),
+    "bar chart": (lambda title: bar_chart_svg(np.linspace(0.0, 1.0, 5), np.array([1, 3, 0, 2]),
+                                              title=title), 30, 480, 260),
+}
+
+
+class TestFrame:
+    @pytest.mark.parametrize("title", ["t & <u>", ""], ids=["titled", "untitled"])
+    @pytest.mark.parametrize("kind", FRAMES)
+    def test_root_size_and_title_band(self, kind, title):
+        render, margin, width, height = FRAMES[kind]
+        lines = render(title).splitlines()
+        height += 22 if title else 0
+        assert lines[0] == (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+                            f'height="{height}" viewBox="0 0 {width} {height}">')
+        assert lines[-1] == "</svg>"
+        band = [line for line in lines if ' y="16.00" ' in line]
+        if title:
+            assert band == lines[1:2] == [
+                f'<text x="{margin}.00" y="16.00" font-size="14" font-family="sans-serif" '
+                'text-anchor="start">t &amp; &lt;u&gt;</text>']
+        else:
+            assert band == []
+
+    @pytest.mark.parametrize("header", [22, 0])
+    def test_bar_chart_bars_scale_to_the_largest_count(self, header):
+        svg = bar_chart_svg(np.linspace(0.0, 1.0, 5), np.array([1, 3, 0, 2]),
+                            title="h" if header else "")
+        # 420 units of plot width over 4 bins, 210 of plot height for the count 3
+        assert re.findall(r"<rect [^>]*/>", svg) == [
+            f'<rect x="{x:.2f}" y="{header + 210 - h:.2f}" width="96.60" height="{h:.2f}" '
+            'fill="#3e6db0"/>' for x, h in ((30, 70), (135, 210), (240, 0), (345, 140))]
