@@ -243,8 +243,7 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     check_seed(cfg.seed, "master seed")
     check_n_perm(cfg.n_perm)
     rm.check_workers(cfg.workers)
-    heatmaps = _load_heatmaps(args.heatmap_paths, cfg)
-    rm.check_roster(heatmaps, w)
+    players = rm.check_roster(_load_heatmaps(args.heatmap_paths, cfg), w)
 
     floor = 1.0 / (cfg.n_perm + 1)
     if math.isclose(cfg.cut, floor):
@@ -255,9 +254,9 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
         print(f"warning: cut height {cfg.cut} is below the p-value resolution floor "
               f"1/(n_perm+1), so no pair can merge; consider raising --n-perm",
               file=sys.stderr)
-    matrix = rm.compute_matrix(heatmaps, w, n_perm=cfg.n_perm, master_seed=cfg.seed,
+    matrix = rm.compute_matrix(players, w, n_perm=cfg.n_perm, master_seed=cfg.seed,
                                workers=cfg.workers)
-    del heatmaps  # the writers need only the matrix: freed, the heatmaps add nothing to their peak
+    del players  # the writers need only the matrix: freed, the players add nothing to their peak
     ids = list(matrix.player_ids)
     dend = hc.complete_linkage(matrix.pseudo_distance, ids)
     labels = hc.cut(dend, cfg.cut)

@@ -7,7 +7,6 @@ import hashlib
 import io
 import operator
 import os
-from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -54,9 +53,15 @@ def check_workers(workers) -> None:
 
 
 def check_roster(heatmaps, w: WeightsMatrix) -> list[tuple[str, PreparedCells]]:
-    """At least 2 heatmaps, then :func:`_prepare`'s per-player rules; returns its players."""
+    """At least 2 heatmaps, then :func:`_prepare`'s per-player rules; returns its players.
+    Players it returned are returned as they are, once each is seen to be prepared on ``w``."""
     if len(heatmaps) < 2:
         raise ValueError(f"need at least 2 heatmaps, got {len(heatmaps)}")
+    if all(isinstance(p, tuple) for p in heatmaps):  # its own players
+        for pid, cells in heatmaps:
+            if cells.w is not w:
+                raise ValueError(f"player {pid!r} was prepared on other weights")
+        return list(heatmaps)
     return _prepare(heatmaps, w)
 
 
@@ -109,6 +114,22 @@ def _test(players, n_perm: int, master_seed: int, pair: tuple[int, int]) -> Test
     return permutation_test(x, y, x.w, n_perm=n_perm, seed=pair_seed(master_seed, a, b))
 
 
+def _run(players, pairs, n_perm: int, master_seed: int, workers: int):
+    """Yield :func:`_test` of each of the index ``pairs``, in order. A pool of ``min(workers,
+    pairs, CPUs)`` processes, all started at once, maps them in chunks that each carry the
+    players, and is shut down when the runner ends or is closed; one process runs them here."""
+    test = partial(_test, players, n_perm, master_seed)
+    workers = min(workers, len(pairs), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(test, pairs)
+        return
+    # loaded here, so a one-process run never imports the pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers) as pool:
+        yield from pool.map(test, pairs, chunksize=max(1, len(pairs) // (workers * 4)))
+
+
 def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
               master_seed: int = 0) -> TestResult:
     """Permutation test of one pair of players, keyed by their identities.
@@ -116,15 +137,16 @@ def pair_test(a: Heatmap, b: Heatmap, w: WeightsMatrix, n_perm: int = 999,
     The heatmap whose ``player_id`` sorts first is held fixed and the other
     one is permuted, with the stream seeded by :func:`pair_seed`. The result
     is therefore the same for (a, b) and (b, a), and in any roster that
-    holds the pair. ``w`` must come from :func:`~pitchsim.grid.adjacency` on
-    the heatmaps' own grid. It refuses the same heatmaps and weights as
-    :func:`compute_matrix`, with the same errors, two heatmaps that share a
-    player id included; one heatmap passed twice is its self-test.
+    holds the pair: it is :func:`compute_matrix`'s one-pair job. ``w`` must
+    come from :func:`~pitchsim.grid.adjacency` on the heatmaps' own grid.
+    It refuses the same heatmaps and weights as :func:`compute_matrix`, with
+    the same errors, two heatmaps that share a player id included; one
+    heatmap passed twice is its self-test.
     """
     check_seed(master_seed, "master seed")
     check_n_perm(n_perm)
     players = _prepare([a] if a is b else [a, b], w)
-    return _test(players, n_perm, master_seed, (0, len(players) - 1))
+    return next(_run(players, [(0, len(players) - 1)], n_perm, master_seed, 1))
 
 
 def compute_matrix(
@@ -141,12 +163,12 @@ def compute_matrix(
     player ids are the identity that keys it: reordering the heatmaps only
     permutes the matrix, adding a player leaves every existing entry
     unchanged, and results are bitwise identical for any worker count and
-    any pair scheduling order. Each player's half of the work (checks,
-    centering, spatial lags) is done once; each pair test digests the two
-    ids into its seed. A pool of ``min(workers, pairs, CPUs)`` processes
-    maps one bound pair test over chunks of pairs, each chunk carrying the
-    prepared players; with one process, the pairs run in this process. No
-    module state is kept, so several threads may call this at once.
+    any pair scheduling order. ``heatmaps`` may also be the players that
+    :func:`check_roster` returned on ``w``: each player's half of the work
+    (checks, centering, spatial lags) is done once, and each pair test
+    digests the two ids into its seed. All pairs go through the one pair
+    runner, on ``min(workers, pairs, CPUs)`` processes. No module state is
+    kept, so several threads may call this at once.
 
     Raises
     ------
@@ -159,39 +181,23 @@ def compute_matrix(
         If ``n_perm`` < 1, before any player is prepared or pool started.
     ValueError
         If fewer than 2 heatmaps, two heatmaps share a player id, any
-        heatmap is not normalized, ``master_seed`` is outside [0, 2**64), or
-        ``workers`` is below 1.
+        heatmap is not normalized, a player was prepared on other weights,
+        ``master_seed`` is outside [0, 2**64), or ``workers`` is below 1.
     """
     check_seed(master_seed, "master seed")
     check_n_perm(n_perm)
     check_workers(workers)
     players = check_roster(heatmaps, w)
     k = len(players)
-
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    # the pool starts all its processes at once
-    workers = min(workers, len(pairs), os.cpu_count() or 1)
-
-    test = partial(_test, players, n_perm, master_seed)
-    pmat = np.empty((k, k))
-    lmat = np.empty((k, k))
-    with ExitStack() as stack:
-        if workers <= 1:
-            results = map(test, pairs)
-        else:
-            # loaded here, so a one-process run never imports the pool's modules
-            from concurrent.futures import ProcessPoolExecutor
-
-            # each chunk of pairs carries the prepared players in one pickle
-            pool = stack.enter_context(ProcessPoolExecutor(workers))
-            results = pool.map(test, pairs, chunksize=max(1, len(pairs) // (workers * 4)))
-        # position-addressed writes: scheduling order never affects the matrix
-        for (i, j), res in zip(pairs, results):
-            pmat[i, j] = pmat[j, i] = res.p_value
-            lmat[i, j] = lmat[j, i] = res.statistic
+    pmat, lmat = np.empty((k, k)), np.empty((k, k))
+    # position-addressed writes: scheduling order never affects the matrix
+    for (i, j), res in zip(pairs, _run(players, pairs, n_perm, master_seed, workers)):
+        pmat[i, j] = pmat[j, i] = res.p_value
+        lmat[i, j] = lmat[j, i] = res.statistic
 
     return RosterMatrix(
-        player_ids=tuple(h.player_id for h in heatmaps),
+        player_ids=tuple(pid for pid, _ in players),
         pseudo_distance=pmat,
         statistic=lmat,
         n_perm=operator.index(n_perm),

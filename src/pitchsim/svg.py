@@ -25,13 +25,12 @@ _CHANNELS = np.array([c for _, c in _RAMP], dtype=np.float64)
 
 
 def _ramp(t) -> list[str]:
-    """Hex colour of each value in ``t``; out-of-range values are clipped.
+    """Hex colour of each finite value in ``t``; out-of-range values are clipped.
 
     ``t`` in (anchor i, anchor i+1] takes segment i, and each channel is
-    rounded half to even. NaN takes the last anchor's colour.
+    rounded half to even.
     """
     t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
-    t[np.isnan(t)] = 1.0
     seg = np.searchsorted(_ANCHORS[1:], t)
     t0 = _ANCHORS[seg]
     f = (t - t0) / (_ANCHORS[seg + 1] - t0)
@@ -72,8 +71,16 @@ def _escape(s: str) -> str:
 
 
 def heatmap_svg(grid: PitchGrid, cells: np.ndarray, title: str = "") -> str:
-    """Shade each grid cell by its activity value on a field-shaped canvas."""
+    """Shade each grid cell by its activity value on a field-shaped canvas.
+
+    Raises
+    ------
+    ValueError
+        If any cell is NaN or infinite.
+    """
     cells = np.asarray(cells, dtype=np.float64)
+    if not np.isfinite(cells).all():
+        raise ValueError("heatmap cells must be finite")
     top = float(cells.max())
     scale = 6.0
     xmin, ymin, xmax, ymax = grid.extent
@@ -100,8 +107,16 @@ def heatmap_svg(grid: PitchGrid, cells: np.ndarray, title: str = "") -> str:
 
 
 def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
-    """Square matrix image, cells shaded by value on a fixed [0, 1] scale."""
+    """Square matrix image, cells shaded by value on a fixed [0, 1] scale.
+
+    Raises
+    ------
+    ValueError
+        If any value is NaN or infinite.
+    """
     values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("matrix values must be finite")
     k = values.shape[0]
     cell = 18.0
     label_w = 8.0 * max((len(s) for s in labels), default=0)

@@ -296,8 +296,6 @@ def color_ramp_scalar(t: float) -> str:
             f = (t - t0) / (t1 - t0)
             r, g, b = (round(a + f * (b_ - a)) for a, b_ in zip(c0, c1))
             return f"#{r:02x}{g:02x}{b:02x}"
-    r, g, b = RAMP_ANCHORS[-1][1]  # NaN compares false with every anchor
-    return f"#{r:02x}{g:02x}{b:02x}"
 
 
 def parse_by_rows(lines, first: int, extent, error: type[Exception]):

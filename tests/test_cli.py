@@ -621,6 +621,22 @@ class TestCluster:
             assert labels == [1, 2, 3, 4, 5]
             assert " 5 cluster(s) " in captured.out
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_player_is_prepared_once(self, five_heatmap_dir, tmp_path, capsys,
+                                          monkeypatch, workers):
+        # the roster check before the floor warning and the pair tests share one record
+        real, names = roster.prepare_cells, []
+
+        def counted(values, w, name):
+            names.append(name)
+            return real(values, w, name)
+
+        monkeypatch.setattr(roster, "prepare_cells", counted)
+        assert main(["cluster", *_heatmap_args(five_heatmap_dir), "--n-perm", "9",
+                     "--workers", workers, "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert names == [f"player {pid!r}" for pid, *_ in FIVE_PLAYER_ROLES]
+
     def test_clusters_csv_quotes_player_ids(self, tmp_path):
         ids = ["Smith, J", 'say "hi"', "two\nlines", "plain"]
         grid = ps.build_grid(14, 20)

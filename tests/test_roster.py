@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import re
 import threading
 import weakref
@@ -185,6 +186,55 @@ class TestPreparedPlayers:
         assert len(records) == 5
         assert all(isinstance(r, ps.PreparedCells) for pair in calls for r in pair)
         assert np.array_equal(m.pseudo_distance, five_matrix.pseudo_distance)
+
+
+class TestCheckedPlayers:
+    """compute_matrix also takes the players check_roster returned."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checked_players_give_the_heatmaps_matrix(self, five, weights, workers):
+        want = ps.compute_matrix(five, weights, n_perm=N_PERM, master_seed=MASTER_SEED,
+                                 workers=workers)
+        got = ps.compute_matrix(roster.check_roster(five, weights), weights, n_perm=N_PERM,
+                                master_seed=MASTER_SEED, workers=workers)
+        assert got.player_ids == want.player_ids
+        assert np.array_equal(got.pseudo_distance, want.pseudo_distance)
+        assert np.array_equal(got.statistic, want.statistic)
+
+    @pytest.mark.parametrize("scheme", ["rook", "queen"])
+    def test_players_prepared_on_other_weights_rejected(self, monkeypatch, grid, five,
+                                                         weights, scheme):
+        # a second queen adjacency is equal but not the same weights
+        players = roster.check_roster(five, ps.adjacency(grid, scheme))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pair test or pool started")
+
+        monkeypatch.setattr(roster, "permutation_test", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with pytest.raises(ValueError, match=r"^player 'mid_a' was prepared on other weights$"):
+            ps.compute_matrix(players, weights, n_perm=9, workers=2)
+
+
+class TestPoolCleanup:
+    """No pool process outlives the run that started it."""
+
+    def test_no_process_left_after_a_pooled_run(self, monkeypatch, five, weights):
+        monkeypatch.setattr(roster.os, "cpu_count", lambda: 2)
+        ps.compute_matrix(five, weights, n_perm=9, master_seed=MASTER_SEED, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_process_left_after_the_runner_is_closed_early(self, monkeypatch, five,
+                                                              weights, five_matrix):
+        monkeypatch.setattr(roster.os, "cpu_count", lambda: 2)
+        players = roster.check_roster(five, weights)
+        pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+        results = roster._run(players, pairs, N_PERM, MASTER_SEED, 2)
+        first = next(results)
+        assert multiprocessing.active_children() != []
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert first.p_value == five_matrix.pseudo_distance[0, 0]
 
 
 class TestPinnedCounts:
