@@ -14,7 +14,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # home module of every public name, the one list of them: each home module's
-# __all__ is its entry here (errors binds exactly its names without one)
+# __all__ is its entry here
 _HOMES = {
     "cluster": ("Dendrogram", "Merge", "clusters_to_csv", "complete_linkage", "cut",
                 "export_newick", "merges_to_json"),

@@ -9,14 +9,15 @@ import os
 import re
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import PitchsimError, UnknownPlayer
+from .errors import (PitchsimError, UnknownPlayer, check_bandwidth, check_cut, check_n_perm,
+                     check_seed, check_workers)
 from .grid import DEFAULT_EXTENT, SCHEMES, adjacency, build_grid
 from .heatmap import (
-    check_bandwidth,
     heatmap_from_json,
     heatmap_to_json,
     normalize,
@@ -24,24 +25,24 @@ from .heatmap import (
     rasterize,
 )
 # permutation_test is unused here; perfbench/tracer.py wraps cli.permutation_test by name
-from .stats import check_n_perm, check_seed, permutation_test
+from .stats import permutation_test
 from .svg import bar_chart_svg, heatmap_svg, matrix_svg
 
 HISTOGRAM_BINS = 20
 
 
-# key: (default, help); the default's type converts the flag and the config-file
-# value alike
+# key: (default, help, rule); the default's type converts the flag and the config-file
+# value alike, then the rule refuses a bad value; a command checks its grid as it builds it
 _SETTINGS = {
-    "rows": (14, "grid rows across the field width"),
-    "cols": (20, "grid columns along the field length"),
-    "scheme": ("queen", f"contiguity scheme: {' or '.join(SCHEMES)}"),
-    "bandwidth": (5.0, "kernel bandwidth in field units"),
-    "n_perm": (999, "permutations per test"),
-    "seed": (0, "master seed"),
-    "cut": (0.001, "dendrogram cut height"),
-    "workers": (1, "parallel workers for pairwise tests"),
-    "out": (Path("out"), "output directory"),
+    "rows": (14, "grid rows across the field width", None),
+    "cols": (20, "grid columns along the field length", None),
+    "scheme": ("queen", f"contiguity scheme: {' or '.join(SCHEMES)}", None),
+    "bandwidth": (5.0, "kernel bandwidth in field units", check_bandwidth),
+    "n_perm": (999, "permutations per test", check_n_perm),
+    "seed": (0, "master seed", partial(check_seed, name="master seed")),
+    "cut": (0.001, "dendrogram cut height", check_cut),
+    "workers": (1, "parallel workers for pairwise tests", check_workers),
+    "out": (Path("out"), "output directory", None),
 }
 
 
@@ -71,18 +72,20 @@ def _raw_settings(args: argparse.Namespace):
 
 
 def build_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Merge defaults, config file values, and explicit flags (flags win)."""
-    cfg = argparse.Namespace(**{key: default for key, (default, _) in _SETTINGS.items()})
+    """Merge defaults, config file values, and explicit flags (flags win); apply each rule."""
+    cfg = argparse.Namespace(**{key: default for key, (default, *_) in _SETTINGS.items()})
     for key, value, where in _raw_settings(args):
         try:
             setattr(cfg, key, type(_SETTINGS[key][0])(value))
         except ValueError:
             raise ValueError(f"{where}: invalid value for {key!r}: {value!r}") from None
+    for key, (*_, rule) in _SETTINGS.items():
+        if rule is not None:
+            rule(getattr(cfg, key))
     return cfg
 
 
 def _add_settings(parser: argparse.ArgumentParser, *keys: str) -> None:
-    # a setting's bad values are refused by the library function that reads it
     parser.add_argument("--config", help="key=value config file (flags take precedence)")
     for key in keys:
         parser.add_argument(f"--{key.replace('_', '-')}", help=_SETTINGS[key][1])
@@ -163,7 +166,7 @@ def _load_heatmaps(paths, cfg: argparse.Namespace):
             if h.player_id in seen:
                 raise PitchsimError(f"duplicate player id {h.player_id!r}")
             heatmaps.append(normalize(h))
-        except (PitchsimError, ValueError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             # json.loads recurses once per nesting level
             raise PitchsimError(f"{path}: {exc}") from exc
         seen.add(h.player_id)
@@ -172,14 +175,13 @@ def _load_heatmaps(paths, cfg: argparse.Namespace):
 
 def cmd_rasterize(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     grid = build_grid(cfg.rows, cfg.cols)
-    check_bandwidth(cfg.bandwidth)
     files: dict[str, str] = {}
     owners: dict[str, tuple[str, str]] = {}  # slug -> (player id, csv path)
     total_drops = 0
     for path in args.csv_paths:
         try:
             groups, drops = parse_activity_groups(path, extent=grid.extent)
-        except (PitchsimError, ValueError) as exc:  # ValueError: not UTF-8
+        except ValueError as exc:  # a refused row, or not UTF-8
             raise PitchsimError(f"{path}: {exc}") from exc
         total_drops += drops.total
         for player_id, points in groups.items():
@@ -201,8 +203,6 @@ def cmd_rasterize(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
 def cmd_compare(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     from . import roster as rm
 
-    check_seed(cfg.seed, "master seed")
-    check_n_perm(cfg.n_perm)
     player_a, player_b = args.player_a, args.player_b
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
     heatmaps = {h.player_id: h for h in _load_heatmaps(args.heatmap_paths, cfg)}
@@ -237,12 +237,6 @@ def cmd_cluster(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
     from . import roster as rm
 
     w = adjacency(build_grid(cfg.rows, cfg.cols), cfg.scheme)
-    hc.check_cut(cfg.cut)
-    # compute_matrix's own rules, checked before the warnings: a refused run
-    # prints one error line, and an accepted one warns before its pair tests
-    check_seed(cfg.seed, "master seed")
-    check_n_perm(cfg.n_perm)
-    rm.check_workers(cfg.workers)
     players = rm.check_roster(_load_heatmaps(args.heatmap_paths, cfg), w)
 
     floor = 1.0 / (cfg.n_perm + 1)
@@ -301,7 +295,7 @@ def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
         return args.run(build_config(args), args)
-    except (PitchsimError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # numpy's MemoryError names the allocation it could not make; a bare one is empty
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _HOMES
-from .errors import AsymmetricInput, NaNInput
+from .errors import AsymmetricInput, NaNInput, check_cut
 
 __all__ = list(_HOMES["cluster"])
 
@@ -119,12 +119,6 @@ def complete_linkage(d, ids) -> Dendrogram:
     return Dendrogram(ids, tuple(merges))
 
 
-def check_cut(height) -> None:
-    """The cut-height rule: finite and >= 0."""
-    if not 0 <= height < float("inf"):
-        raise ValueError(f"cut height must be finite and >= 0, got {height}")
-
-
 def cut(dend: Dendrogram, height: float) -> list[int]:
     """Flat clusters from merges with height <= the cut height, which must be
     finite and >= 0.
@@ -201,6 +195,15 @@ def merges_to_json(dend: Dendrogram) -> dict:
 
 
 def clusters_to_csv(ids: list[str], labels: list[int]) -> str:
+    """``player_id,cluster`` rows, one per id with its label.
+
+    Raises
+    ------
+    ValueError
+        If ``ids`` and ``labels`` differ in length.
+    """
+    if len(ids) != len(labels):
+        raise ValueError(f"expected one label per id, got {len(labels)} for {len(ids)} ids")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows([("player_id", "cluster"), *zip(ids, labels)])

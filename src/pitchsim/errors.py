@@ -1,7 +1,14 @@
-"""Exception types raised by the pitchsim pipeline."""
+"""Exception types raised by the pitchsim pipeline, and the setting rules beside them."""
+
+import math
+import operator
+
+from . import _HOMES
+
+__all__ = list(_HOMES["errors"])
 
 
-class PitchsimError(Exception):
+class PitchsimError(ValueError):
     """Base class for all pitchsim errors."""
 
 
@@ -25,6 +32,12 @@ class NonpositiveBandwidth(PitchsimError):
     """Kernel bandwidth must be finite and strictly positive."""
 
 
+def check_bandwidth(bandwidth) -> None:
+    """The bandwidth rule: finite and > 0."""
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise NonpositiveBandwidth(f"bandwidth must be finite and > 0, got {bandwidth}")
+
+
 class ZeroMass(PitchsimError):
     """Heatmap total activity is not finite and > 0, so it cannot be normalized."""
 
@@ -41,6 +54,12 @@ class InsufficientPermutations(PitchsimError):
     """Permutation count must be at least 1."""
 
 
+def check_n_perm(n_perm) -> None:
+    """The permutation-count rule: an int >= 1."""
+    if operator.index(n_perm) < 1:
+        raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
+
+
 class GridMismatch(PitchsimError):
     """Inputs reference different grids."""
 
@@ -55,3 +74,21 @@ class NaNInput(PitchsimError):
 
 class UnknownPlayer(PitchsimError):
     """Requested player id is not present in the inputs."""
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """The seed rule: an int in [0, 2**64); the error names ``name``."""
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
+
+def check_cut(height) -> None:
+    """The cut-height rule: finite and >= 0."""
+    if not 0 <= height < float("inf"):
+        raise ValueError(f"cut height must be finite and >= 0, got {height}")
+
+
+def check_workers(workers) -> None:
+    """The worker-count rule: an int >= 1."""
+    if operator.index(workers) < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")

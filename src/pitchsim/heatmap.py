@@ -15,8 +15,8 @@ from .errors import (
     EmptyInput,
     MalformedHeatmap,
     MalformedRecord,
-    NonpositiveBandwidth,
     ZeroMass,
+    check_bandwidth,
 )
 from .grid import DEFAULT_EXTENT, PitchGrid, build_grid
 
@@ -251,12 +251,6 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
     finally:
         if owned:
             stream.close()
-
-
-def check_bandwidth(bandwidth) -> None:
-    """The bandwidth rule: finite and > 0."""
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise NonpositiveBandwidth(f"bandwidth must be finite and > 0, got {bandwidth}")
 
 
 def _axis_factor(p: np.ndarray, c: np.ndarray, a: float) -> np.ndarray:

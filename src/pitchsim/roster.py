@@ -14,14 +14,12 @@ from itertools import repeat
 import numpy as np
 
 from . import _HOMES
-from .errors import GridMismatch, ZeroVariance
+from .errors import GridMismatch, ZeroVariance, check_n_perm, check_seed, check_workers
 from .grid import WeightsMatrix
 from .heatmap import Heatmap
 from .stats import (
     PreparedCells,
     TestResult,
-    check_n_perm,
-    check_seed,
     permutation_test,
     prepare_cells,
 )
@@ -44,12 +42,6 @@ class RosterMatrix:
     statistic: np.ndarray
     n_perm: int
     master_seed: int
-
-
-def check_workers(workers) -> None:
-    """The worker-count rule: an int >= 1."""
-    if operator.index(workers) < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def check_roster(heatmaps, w: WeightsMatrix) -> list[tuple[str, PreparedCells]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import InsufficientPermutations, IsolatedCell, ZeroVariance
+from .errors import IsolatedCell, ZeroVariance, check_n_perm, check_seed
 from .grid import WeightsMatrix
 
 __all__ = list(_HOMES["stats"])
@@ -63,18 +63,6 @@ class TestResult:
     p_value: float
     z_score: float
     seed: int
-
-
-def check_n_perm(n_perm) -> None:
-    """The permutation-count rule: an int >= 1."""
-    if operator.index(n_perm) < 1:
-        raise InsufficientPermutations(f"n_perm must be >= 1, got {n_perm}")
-
-
-def check_seed(seed, name: str = "seed") -> None:
-    """The seed rule: an int in [0, 2**64); the error names ``name``."""
-    if not 0 <= operator.index(seed) < 1 << 64:
-        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True, eq=False)

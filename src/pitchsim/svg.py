@@ -76,9 +76,11 @@ def heatmap_svg(grid: PitchGrid, cells: np.ndarray, title: str = "") -> str:
     Raises
     ------
     ValueError
-        If any cell is NaN or infinite.
+        If ``cells`` is not one value per grid cell, or any cell is NaN or infinite.
     """
     cells = np.asarray(cells, dtype=np.float64)
+    if cells.shape != (grid.n,):
+        raise ValueError(f"heatmap cells must have shape ({grid.n},), got {cells.shape}")
     if not np.isfinite(cells).all():
         raise ValueError("heatmap cells must be finite")
     top = float(cells.max())
@@ -112,9 +114,11 @@ def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
     Raises
     ------
     ValueError
-        If any value is NaN or infinite.
+        If ``values`` is not square with one row per label, or any value is NaN or infinite.
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.shape != (len(labels),) * 2:
+        raise ValueError(f"matrix values must have shape {(len(labels),) * 2}, got {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("matrix values must be finite")
     k = values.shape[0]
@@ -140,8 +144,16 @@ def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
 
 
 def bar_chart_svg(edges: np.ndarray, counts: np.ndarray, title: str = "") -> str:
-    """Histogram bars over consecutive bins given by ``edges``."""
+    """Histogram bars over consecutive bins given by ``edges``.
+
+    Raises
+    ------
+    ValueError
+        If any count is NaN, infinite or negative.
+    """
     counts = np.asarray(counts, dtype=np.float64)
+    if not (np.isfinite(counts).all() and (counts >= 0).all()):
+        raise ValueError("bar counts must be finite and >= 0")
     top = float(counts.max()) if counts.size else 0.0
     width, height = 480.0, 240.0
     margin = 30.0

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from xml.dom import minidom
 
@@ -932,6 +933,42 @@ class TestConfig:
             message = f"{where}: invalid value for {setting.replace('-', '_')!r}: {value!r}"
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    RULES = [case for case in REFUSALS
+             if case[1] in ("bandwidth", "n-perm", "seed", "cut", "workers") and case[3]]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, setting, value, message", RULES)
+    def test_build_config_applies_each_rule(self, tmp_path, command, setting, value,
+                                            message, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{setting}={value}\n", encoding="utf-8")
+        opts = [f"--{setting}", value] if source == "flag" else ["--config", str(cfg)]
+        inputs = {"rasterize": ["x.csv"], "compare": ["a", "b", "x.json"],
+                  "cluster": ["x.json"]}[command]
+        args = cli.make_parser().parse_args([command, *inputs, *opts])
+        with pytest.raises(ValueError) as info:
+            cli.build_config(args)
+        assert str(info.value) == message
+
+    # every two refused settings of one command, each refused alone by a REFUSALS case
+    PAIRS = [(first[0], first[1:], second[1:]) for first, second in combinations(REFUSALS, 2)
+             if first[0] == second[0] and first[1] != second[1]]
+
+    @pytest.mark.parametrize("command, first, second", PAIRS)
+    def test_two_refused_settings_end_in_one_error_line(self, five_heatmap_dir, tmp_path,
+                                                        capsys, command, first, second):
+        argv, out = _command_argv(command, five_heatmap_dir, tmp_path)
+        lines = []
+        for setting, value, message in (first, second):
+            argv += [f"--{setting}", value]
+            lines.append("error: " + (message or f"--{setting}: invalid value for "
+                                                 f"{setting.replace('-', '_')!r}: {value!r}"))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.err.rstrip("\n") in lines
         assert captured.out == ""
         assert not out.exists()
 

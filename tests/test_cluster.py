@@ -464,3 +464,9 @@ class TestSerialization:
     def test_clusters_csv_text(self):
         text = ps.clusters_to_csv(["a", "b", "c"], [1, 1, 2])
         assert text == "player_id,cluster\na,1\nb,1\nc,2\n"
+
+    @pytest.mark.parametrize("ids, labels", [(["a", "b"], [1]), (["a"], [1, 2]), ([], [1])])
+    def test_clusters_csv_refuses_ids_and_labels_of_different_lengths(self, ids, labels):
+        with pytest.raises(ValueError, match=rf"^expected one label per id, got {len(labels)} "
+                                             rf"for {len(ids)} ids$"):
+            ps.clusters_to_csv(ids, labels)

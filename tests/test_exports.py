@@ -57,6 +57,12 @@ def test_star_import_of_a_home_module_binds_exactly_its_names(module):
     assert sorted(ns) == sorted(PUBLIC[module])
 
 
+@pytest.mark.parametrize("name", PUBLIC["errors"])
+def test_every_error_is_a_value_error(name):
+    # a caller catches every library refusal, PitchsimError or not, as ValueError
+    assert issubclass(getattr(pitchsim, name), ValueError)
+
+
 def test_dir_lists_every_name():
     assert {name for name, _ in HOMES} | PUBLIC.keys() <= set(dir(pitchsim))
     assert "__version__" in dir(pitchsim)

@@ -63,6 +63,11 @@ class TestMatrixSvg:
         assert xy == [(f"{10.0 + label_w + j * 18.0:.2f}", f"{22.0 + 10.0 + i * 18.0:.2f}")
                       for i in range(12) for j in range(12)]
 
+    def test_empty_matrix_renders(self):
+        # zero players are zero rows of zero values: no cell, but a document
+        lines = matrix_svg(np.zeros((0, 0)), []).splitlines()
+        assert lines[-1] == "</svg>" and not [line for line in lines if "<rect" in line]
+
 
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -71,10 +76,30 @@ class TestNonFinite:
          "heatmap cells must be finite"),
         (lambda v: matrix_svg(np.array([[0.1, v], [v, 0.1]]), ["a", "b"]),
          "matrix values must be finite"),
-    ], ids=["heatmap", "matrix"])
+        (lambda v: bar_chart_svg(np.linspace(0.0, 1.0, 5), np.array([1.0, v, 3.0, 2.0])),
+         "bar counts must be finite and >= 0"),
+    ], ids=["heatmap", "matrix", "bar chart"])
     def test_non_finite_values_refused(self, render, message, bad):
         with pytest.raises(ValueError, match=rf"^{message}$"):
             render(bad)
+
+    @pytest.mark.parametrize("render, message", [
+        (lambda: heatmap_svg(ps.build_grid(2, 2), np.ones(3)),
+         r"heatmap cells must have shape \(4,\), got \(3,\)"),
+        (lambda: heatmap_svg(ps.build_grid(2, 2), np.ones(6)),
+         r"heatmap cells must have shape \(4,\), got \(6,\)"),
+        (lambda: matrix_svg(np.ones((2, 3)), ["a", "b"]),
+         r"matrix values must have shape \(2, 2\), got \(2, 3\)"),
+        (lambda: matrix_svg(np.eye(3), ["a", "b"]),
+         r"matrix values must have shape \(2, 2\), got \(3, 3\)"),
+        # a negative count would be a bar of negative height, which SVG forbids
+        (lambda: bar_chart_svg(np.linspace(0.0, 1.0, 4), np.array([1.0, -2.0, 3.0])),
+         "bar counts must be finite and >= 0"),
+    ], ids=["heatmap 3 cells", "heatmap 6 cells", "matrix 2x3", "matrix 3x3",
+            "bar chart negative"])
+    def test_values_of_the_wrong_shape_or_sign_refused(self, render, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            render()
 
 
 class TestText:
