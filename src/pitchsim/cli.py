@@ -191,7 +191,7 @@ def cmd_rasterize(cfg: argparse.Namespace, args: argparse.Namespace) -> int:
             owners[slug] = (player_id, path)
             h = normalize(rasterize(points, grid, cfg.bandwidth, player_id=player_id))
             files[f"heatmap_{slug}.json"] = _dump_json(heatmap_to_json(h))
-            files[f"heatmap_{slug}.svg"] = heatmap_svg(grid, h.cells, title=player_id)
+            files[f"heatmap_{slug}.svg"] = heatmap_svg(h)
     _write_outputs(cfg.out, files)
     print(
         f"rasterized {len(owners)} player(s) from {len(args.csv_paths)} file(s); "

@@ -47,15 +47,31 @@ _HEATMAP_FIELDS = {"player_id": str, "rows": int, "cols": int, "cells": list, "n
 class Heatmap:
     """Per-player activity over the cells of a shared grid.
 
-    ``grid`` is the :class:`PitchGrid` the cells lie on. ``cells`` is a
-    length-n float vector in flat-index order. When ``normalized`` is true
-    the cells sum to 1 and read as time proportions.
+    ``grid`` is the :class:`PitchGrid` the cells lie on. ``cells`` is kept as
+    a read-only float64 copy, one value per grid cell in flat-index order; a
+    wrong count, a negative or a non-finite cell raises ``ValueError``.
+    ``normalized`` is read from the cells: true when they sum to 1 within
+    1e-12, so that they read as time proportions.
     """
 
     player_id: str
     grid: PitchGrid
     cells: np.ndarray
-    normalized: bool = False
+
+    def __post_init__(self):
+        cells = np.array(self.cells, dtype=np.float64).ravel()
+        if cells.shape[0] != self.grid.n:
+            raise ValueError(f"heatmap {self.player_id!r} has {cells.shape[0]} cells, "
+                             f"expected {self.grid.n}")
+        if not np.all(np.isfinite(cells)) or cells.min() < 0:
+            raise ValueError(f"heatmap {self.player_id!r} has invalid cell values")
+        cells.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+
+    @property
+    def normalized(self) -> bool:
+        with np.errstate(over="ignore"):  # finite cells may sum to inf
+            return abs(float(self.cells.sum()) - 1.0) <= 1e-12
 
 
 @dataclass(frozen=True)
@@ -326,17 +342,17 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
             cells += ky.T @ kx
         if not np.isfinite(cells).all():
             raise _no_mass(player_id, float(cells.sum()))
-    return Heatmap(player_id=player_id, grid=grid, cells=cells.ravel(), normalized=False)
+    return Heatmap(player_id=player_id, grid=grid, cells=cells)
 
 
 def normalize(h: Heatmap) -> Heatmap:
-    """Scale cells to sum to 1. Idempotent; all-zero heatmaps are rejected.
+    """Scale cells to sum to 1; a heatmap that is already normalized is returned as it is.
 
     Raises
     ------
     ZeroMass
-        If the cells do not sum to a finite number > 0 (NaN included; a sum
-        that overflows to inf would scale every cell to 0).
+        If the cells do not sum to a finite number > 0 (a sum that
+        overflows to inf would scale every cell to 0).
     """
     if h.normalized:
         return h
@@ -344,7 +360,7 @@ def normalize(h: Heatmap) -> Heatmap:
         total = float(h.cells.sum())
     if not 0.0 < total < math.inf:
         raise _no_mass(h.player_id, total)
-    return replace(h, cells=h.cells / total, normalized=True)
+    return replace(h, cells=h.cells / total)
 
 
 def _no_mass(player_id: str, total: float) -> ZeroMass:
@@ -356,8 +372,8 @@ def heatmap_to_json(h: Heatmap) -> dict:
         "player_id": h.player_id,
         "rows": h.grid.rows,
         "cols": h.grid.cols,
-        "cells": np.asarray(h.cells, dtype=np.float64).tolist(),
-        "normalized": bool(h.normalized),
+        "cells": h.cells.tolist(),
+        "normalized": h.normalized,
     }
 
 
@@ -365,7 +381,8 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
     """Rebuild a heatmap from its JSON document.
 
     The document carries only rows/cols; the extent comes from the caller's
-    configuration and defaults to the normalized field.
+    configuration and defaults to the normalized field. Its required
+    ``normalized`` flag is informational: the heatmap reads it from the cells.
 
     Raises
     ------
@@ -376,8 +393,7 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
     InvalidDimension
         If rows or cols is below 2.
     ValueError
-        If the cell count does not match rows * cols, or a cell is negative
-        or non-finite.
+        If :class:`Heatmap` refuses the cells.
     """
     if not isinstance(doc, dict):
         raise MalformedHeatmap(f"heatmap must be a JSON object, got {type(doc).__name__}")
@@ -402,16 +418,4 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
         raise MalformedHeatmap(
             "heatmap field 'cells' holds a number too large for float64"
         ) from None
-    if cells.shape[0] != grid.n:
-        raise ValueError(
-            f"heatmap {doc.get('player_id')!r} has {cells.shape[0]} cells, "
-            f"expected {grid.n}"
-        )
-    if not np.all(np.isfinite(cells)) or cells.min() < 0:
-        raise ValueError(f"heatmap {doc.get('player_id')!r} has invalid cell values")
-    return Heatmap(
-        player_id=doc["player_id"],
-        grid=grid,
-        cells=cells,
-        normalized=doc["normalized"],
-    )
+    return Heatmap(player_id=doc["player_id"], grid=grid, cells=cells)

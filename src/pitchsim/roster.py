@@ -76,8 +76,8 @@ def pair_seed(master_seed: int, a, b) -> int:
 
 
 def _prepare(heatmaps: list[Heatmap], w: WeightsMatrix) -> list[tuple[str, PreparedCells]]:
-    """Each player's half of every pair test on ``w``; the one place the per-player
-    rules (a distinct id, on the grid of ``w``, normalized, not constant) are checked."""
+    """Each player's half of every pair test on ``w``; the one place the per-player rules
+    (a distinct id, on the grid of ``w``, cells that sum to 1, not constant) are checked."""
     seen = set()
     for h in heatmaps:
         if h.player_id in seen:

@@ -106,7 +106,8 @@ def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
     Raises
     ------
     ValueError
-        If ``values`` does not have one finite value per cell.
+        If ``values`` does not have one finite value per cell, or its sum of
+        squared deviations is outside [1e-300, 1e300].
     IsolatedCell
         If any cell of ``w`` has no neighbours.
     ZeroVariance
@@ -121,12 +122,17 @@ def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
     if np.any(row_sums == 0.0):
         isolated = int(np.flatnonzero(row_sums == 0.0)[0])
         raise IsolatedCell(f"cell {isolated} has no neighbours")
-    vc = v - v.mean()
-    ss = float(vc @ vc)
+    with np.errstate(over="ignore", invalid="ignore"):  # such a sum is refused below
+        vc = v - v.mean()
+        ss = float(vc @ vc)
     # a constant vector's mean can round off its value, leaving a tiny nonzero
     # constant instead of zeros, so constancy is tested on the values themselves
-    if ss <= 0.0 or v.min() == v.max():
+    if v.min() == v.max():
         raise ZeroVariance(f"{name} is constant")
+    # past these bounds a pair's products overflow, or underflow and lose their digits
+    if not 1e-300 <= ss <= 1e300:
+        raise ValueError(f"{name} is too {'small' if ss < 1e-300 else 'large'} to score: its "
+                         f"sum of squared deviations {ss:g} is outside [1e-300, 1e+300]")
     lag = w.lag(vc)
     lag2 = w.lag(lag)
     for a in (vc, lag, lag2):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import PitchGrid
+from .heatmap import Heatmap
 
 __all__ = ["heatmap_svg", "matrix_svg", "bar_chart_svg"]
 
@@ -70,19 +70,10 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").translate(_NOT_XML)
 
 
-def heatmap_svg(grid: PitchGrid, cells: np.ndarray, title: str = "") -> str:
-    """Shade each grid cell by its activity value on a field-shaped canvas.
-
-    Raises
-    ------
-    ValueError
-        If ``cells`` is not one value per grid cell, or any cell is NaN or infinite.
-    """
-    cells = np.asarray(cells, dtype=np.float64)
-    if cells.shape != (grid.n,):
-        raise ValueError(f"heatmap cells must have shape ({grid.n},), got {cells.shape}")
-    if not np.isfinite(cells).all():
-        raise ValueError("heatmap cells must be finite")
+def heatmap_svg(h: Heatmap) -> str:
+    """Shade each grid cell by its activity value on a field-shaped canvas, titled
+    with the player id."""
+    grid, cells, title = h.grid, h.cells, h.player_id
     top = float(cells.max())
     scale = 6.0
     xmin, ymin, xmax, ymax = grid.extent
@@ -149,11 +140,16 @@ def bar_chart_svg(edges: np.ndarray, counts: np.ndarray, title: str = "") -> str
     Raises
     ------
     ValueError
-        If any count is NaN, infinite or negative.
+        If any count is NaN, infinite or negative, or ``edges`` are not
+        ``len(counts) + 1`` finite, strictly increasing values.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if not (np.isfinite(counts).all() and (counts >= 0).all()):
         raise ValueError("bar counts must be finite and >= 0")
+    edges = np.asarray(edges, dtype=np.float64)
+    if edges.shape != (len(counts) + 1,) or not (np.isfinite(edges).all()
+                                                 and (edges[:-1] < edges[1:]).all()):
+        raise ValueError(f"bar edges must be {len(counts) + 1} finite, strictly increasing values")
     top = float(counts.max()) if counts.size else 0.0
     width, height = 480.0, 240.0
     margin = 30.0

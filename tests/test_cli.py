@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from itertools import combinations
 from pathlib import Path
 from xml.dom import minidom
@@ -22,6 +23,7 @@ from pitchsim.cli import main
 from rosters import (
     FIVE_PLAYER_ROLES,
     FIVE_PLAYER_SEED,
+    GK_IDX,
     NINE_PLAYER_SEED,
     NINE_PLAYER_ZONES,
     blob_heatmap,
@@ -783,6 +785,79 @@ class TestMalformedHeatmap:
         assert main(["cluster", str(thin), str(thin), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {thin}: grid must be at least 2x2, got {rows}x4"]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# cells of a file marked normalized that do not sum to 1, from the goalkeeper's
+# normalized cells b: the loader rescales them, or refuses them, like any others
+MISLABELLED = {
+    "near 1e200": lambda b: 1e200 * b / b.max(),
+    "near 1e-170": lambda b: 1e-170 * b / b.max(),
+    "summing to 282": lambda b: 282.0 * b,
+}
+
+
+class TestNormalizedFlagIsInformational:
+    @staticmethod
+    def _goalkeeper(directory):
+        path = _heatmap_args(directory)[GK_IDX]
+        return np.array(json.loads(Path(path).read_text(encoding="utf-8"))["cells"])
+
+    @staticmethod
+    def _roster(directory, tmp_path, name, cells):
+        """Paths of 'big', holding ``cells`` and marked normalized, fwd and mid_a."""
+        by_id = dict(zip((pid for pid, *_ in FIVE_PLAYER_ROLES), _heatmap_args(directory)))
+        big = tmp_path / f"{name}.json"
+        big.write_text(json.dumps({"player_id": "big", "rows": 14, "cols": 20,
+                                   "cells": cells.tolist(), "normalized": True}),
+                       encoding="utf-8")
+        return [str(big), by_id["fwd"], by_id["mid_a"]]
+
+    @staticmethod
+    def _run(command, paths, out, capsys):
+        """Exit status and (L, p) of big's pairs, from strict JSON, with warnings as errors."""
+        argv = ([command, "big", "fwd", *paths, "--json"] if command == "compare"
+                else [command, *paths, "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--n-perm", "99"])
+        captured = capsys.readouterr()
+        if code != 0:
+            return code, captured.err
+        if command == "compare":
+            doc = _strict_json(captured.out)
+            return code, (doc["lee_l"], doc["p_value"])
+        doc = _strict_json((out / "matrix.json").read_text(encoding="utf-8"))
+        return code, (doc["l"][0], doc["p"][0])
+
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_cells_near_1e308_refused_with_one_error_line(self, five_heatmap_dir, tmp_path,
+                                                          capsys, command):
+        b = self._goalkeeper(five_heatmap_dir)
+        paths = self._roster(five_heatmap_dir, tmp_path, "big",
+                             1e308 * (0.5 + 0.5 * b / b.max()))
+        assert self._run(command, paths, tmp_path / "o", capsys) == (1, (
+            f"error: {paths[0]}: heatmap 'big' has total activity inf, not finite and > 0\n"))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", MISLABELLED)
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_scored_as_the_same_cells_normalized_first(self, five_heatmap_dir, tmp_path,
+                                                       capsys, command, case):
+        cells = MISLABELLED[case](self._goalkeeper(five_heatmap_dir))
+        first = ps.normalize(ps.Heatmap(player_id="big", grid=ps.build_grid(14, 20),
+                                        cells=cells)).cells
+        got = self._run(command, self._roster(five_heatmap_dir, tmp_path, "big", cells),
+                        tmp_path / "got", capsys)
+        want = self._run(command, self._roster(five_heatmap_dir, tmp_path, "first", first),
+                         tmp_path / "want", capsys)
+        assert got == want and got[0] == 0
 
 
 def _declared_script(name):

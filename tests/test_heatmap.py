@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -519,6 +520,91 @@ class TestRasterize:
                          player_id="a")
 
 
+@st.composite
+def _heatmap_cells(draw):
+    """A grid of 2x2 to 4x5 and cells at a scale from 1e-300 to 1e300: one per
+    grid cell or one too few or too many, some of them negative or not finite."""
+    grid = ps.build_grid(draw(st.integers(2, 4)), draw(st.integers(2, 5)))
+    n = grid.n + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    cells = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    cells *= 10.0 ** draw(st.integers(-300, 300))
+    for bad in draw(st.lists(st.sampled_from([-1e-300, -1.0, math.nan, math.inf, -math.inf]),
+                             max_size=2)):
+        cells[draw(st.integers(0, n - 1))] = bad
+    return grid, cells
+
+
+class TestHeatmap:
+    @pytest.mark.parametrize("cells, message", [
+        ([0.5, 0.5, 0.0], "heatmap 'p' has 3 cells, expected 4"),
+        ([0.25] * 5, "heatmap 'p' has 5 cells, expected 4"),
+        ([0.5, math.nan, 0.5, 0.0], "heatmap 'p' has invalid cell values"),
+        ([0.5, math.inf, 0.5, 0.0], "heatmap 'p' has invalid cell values"),
+        ([0.5, -1e-300, 0.5, 0.0], "heatmap 'p' has invalid cell values"),
+    ], ids=["short", "long", "nan", "inf", "negative"])
+    def test_bad_cells_refused_when_built(self, cells, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ps.Heatmap(player_id="p", grid=ps.build_grid(2, 2), cells=np.array(cells))
+
+    def test_cells_are_a_read_only_flat_float64_copy(self):
+        grid = ps.build_grid(2, 3)
+        given = np.arange(6).reshape(2, 3)
+        h = ps.Heatmap(player_id="p", grid=grid, cells=given)
+        given[0, 0] = 99
+        assert h.cells.dtype == np.float64 and not h.cells.flags.writeable
+        assert h.cells.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(ValueError):
+            h.cells[0] = 1.0
+
+    @pytest.mark.parametrize("cells, normalized", [
+        ([0.25] * 4, True),
+        ([0.25, 0.25, 0.5, 1e-13], True),
+        ([0.25, 0.25, 0.5, 1e-11], False),
+        ([2.0, 2.0, 4.0, 0.0], False),
+        ([0.0] * 4, False),
+        ([1e308] * 4, False),  # the sum overflows, without a warning
+    ])
+    def test_normalized_is_read_from_the_cells(self, cells, normalized):
+        h = ps.Heatmap(player_id="p", grid=ps.build_grid(2, 2), cells=np.array(cells))
+        assert h.normalized is normalized
+        with pytest.raises(TypeError):
+            ps.Heatmap(player_id="p", grid=h.grid, cells=h.cells, normalized=normalized)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_heatmap_cells(), st.sampled_from([0.5, 5.0, 30.0]))
+    def test_rules_normalize_and_json_round_trip(self, case, bandwidth):
+        grid, cells = case
+        if len(cells) != grid.n:
+            refusal = f"{len(cells)} cells, expected {grid.n}"
+        elif not (np.isfinite(cells).all() and (cells >= 0).all()):
+            refusal = "invalid cell values"
+        else:
+            refusal = None
+        if refusal:
+            with pytest.raises(ValueError, match=rf"^heatmap 'p' has {refusal}$"):
+                ps.Heatmap(player_id="p", grid=grid, cells=cells)
+            return
+        h = ps.Heatmap(player_id="p", grid=grid, cells=cells)
+        assert h.cells.tobytes() == cells.tobytes()
+        text = json.dumps(ps.heatmap_to_json(h))
+        back = ps.heatmap_from_json(json.loads(text))
+        assert (back.player_id, back.grid, back.normalized) == ("p", grid, h.normalized)
+        assert back.cells.tobytes() == h.cells.tobytes()
+        if not 0.0 < math.fsum(cells) < math.inf:
+            with pytest.raises(ZeroMass, match="^heatmap 'p' has total activity"):
+                ps.normalize(h)
+        else:
+            assert ps.normalize(h).normalized
+        # cells as the weights of points at the cell centres
+        points = np.column_stack([grid.cell_centers(), cells])
+        try:
+            out = ps.normalize(ps.rasterize(points, grid, bandwidth, player_id="p"))
+        except ZeroMass:  # the kernel sum overflows, or underflows to 0
+            return
+        back = ps.heatmap_from_json(json.loads(json.dumps(ps.heatmap_to_json(out))))
+        assert back.normalized and ps.normalize(back) is back
+
+
 class TestNormalize:
     def test_quarter_quarter_half(self):
         g = ps.build_grid(2, 2)
@@ -538,13 +624,6 @@ class TestNormalize:
     def test_zero_mass_rejected(self):
         g = ps.build_grid(2, 2)
         h = ps.Heatmap(player_id="p", grid=g, cells=np.zeros(4))
-        with pytest.raises(ZeroMass):
-            ps.normalize(h)
-
-    def test_nan_mass_rejected(self):
-        g = ps.build_grid(2, 2)
-        h = ps.Heatmap(player_id="p", grid=g,
-                       cells=np.array([1.0, math.nan, 0.0, 0.0]))
         with pytest.raises(ZeroMass):
             ps.normalize(h)
 

@@ -1,7 +1,9 @@
 """The README's code examples run as written."""
 
 import argparse
+import glob
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -12,25 +14,29 @@ from rosters import blob_points
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _section_code(heading: str) -> str:
-    """The first ```python block under the ``## <heading>`` section."""
+def _section_code(heading: str, language: str = "python") -> str:
+    """The first ```<language> block under the ``## <heading>`` section."""
     text = README.read_text(encoding="utf-8")
     section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    match = re.search(r"```python\n(.*?)```", section, re.S)
-    assert match, f"README section {heading!r} has no python block"
+    match = re.search(rf"```{language}\n(.*?)```", section, re.S)
+    assert match, f"README section {heading!r} has no {language} block"
     return match.group(1)
 
 
-def _run_library(directory, monkeypatch, players):
-    """The Library snippet's names after it runs in ``directory`` on
-    ``players``, (player id, (m, 3) points) pairs written to matchday.csv in
-    that order."""
+def _write_matchday(directory, monkeypatch, players):
+    """Write ``players``, (player id, (m, 3) points) pairs, to matchday.csv in
+    ``directory`` in that order, and make it the working directory."""
     lines = ["player_id,x,y,value"]
     for pid, pts in players:
         lines += [f"{pid},{x!r},{y!r},{value!r}" for x, y, value in pts.tolist()]
     directory.mkdir(exist_ok=True)
     (directory / "matchday.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     monkeypatch.chdir(directory)
+
+
+def _run_library(directory, monkeypatch, players):
+    """The Library snippet's names after it runs in ``directory`` on ``players``."""
+    _write_matchday(directory, monkeypatch, players)
     ns = {}
     exec(compile(_section_code("Library"), str(README), "exec"), ns)
     return ns
@@ -48,6 +54,30 @@ def test_library_snippet_runs(tmp_path, monkeypatch, capsys):
     assert (res.statistic, res.p_value) == (m.statistic[0, 1], m.pseudo_distance[0, 1])
     assert len(ns["labels"]) == 3
     assert capsys.readouterr().out == f"{res.statistic} {res.p_value}\n"
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(12)
+    _write_matchday(tmp_path, monkeypatch, [
+        (pid, blob_points(rng, cx, cy, 10.0, n=60))
+        for pid, cx, cy in (("alice", 40.0, 45.0), ("bob", 45.0, 55.0), ("cara", 80.0, 50.0))])
+    commands = [line for line in _section_code("Command line", "sh").splitlines()
+                if line and not line.startswith("#")]
+    assert [shlex.split(line)[:2] for line in commands] == [
+        ["pitchsim", "rasterize"], ["pitchsim", "compare"], ["pitchsim", "cluster"]]
+    outputs = []
+    for line in commands:
+        # the shell expands each glob in name order
+        argv = [path for word in shlex.split(line)[1:]
+                for path in (sorted(glob.glob(word)) if "*" in word else [word])]
+        assert cli.main(argv) == 0, line
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].startswith("rasterized 3 player(s) from 1 file(s)")
+    assert outputs[1].startswith("pair: alice vs bob\n")
+    lee_l, p_value = (line.split()[1] for line in outputs[1].splitlines()[1:3])
+    pairs = (tmp_path / "results" / "pairs.csv").read_text(encoding="utf-8").splitlines()
+    row = next(line.split(",") for line in pairs if line.startswith("alice,bob,"))
+    assert (f"{float(row[2]):.6f}", f"{float(row[3]):.6f}") == (lee_l, p_value)
 
 
 def _partition(ns):

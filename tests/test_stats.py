@@ -600,6 +600,28 @@ class TestPreparedCells:
         with pytest.raises(ZeroVariance, match="x is constant"):
             ps.lees_l(flat, other, w)
 
+    @pytest.mark.parametrize("scale, size, ss", [(1e200, "large", "inf"), (1e-170, "small", "0")])
+    def test_vector_past_the_scored_range_refused_without_a_warning(self, scale, size, ss):
+        # its sum of squared deviations overflows, where L read -0.0, or underflows
+        # to 0, where the vector was refused as constant; the filter in
+        # pyproject.toml turns numpy's warnings into errors
+        w = _queen(14, 20)
+        rng = np.random.default_rng(9)
+        v, other = scale * (1 + rng.random(w.n)), rng.random(w.n)
+        for name, call in (("x", lambda: ps.lees_l(v, other, w)),
+                           ("y", lambda: ps.permutation_test(other, v, w, n_perm=9))):
+            with pytest.raises(ValueError, match=rf"^{name} is too {size} to score: its sum of "
+                                                 rf"squared deviations {ss} is outside "
+                                                 r"\[1e-300, 1e\+300\]$"):
+                call()
+
+    @pytest.mark.parametrize("scale", [1e140, 1e-140])
+    def test_vector_inside_the_scored_range_scores_as_at_unit_scale(self, scale):
+        w = _queen(14, 20)
+        rng = np.random.default_rng(9)
+        x, y = rng.random(w.n), rng.random(w.n)
+        assert ps.lees_l(scale * x, y, w) == pytest.approx(ps.lees_l(x, y, w), rel=1e-12)
+
 
 class TestExactPermutationTest:
     """The exact test by full enumeration, ``oracles.exhaustive_p``.

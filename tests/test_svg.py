@@ -32,7 +32,7 @@ class TestHeatmapSvg:
     def test_each_cell_is_placed_by_its_row_and_column_and_filled_by_its_value(self, kind):
         g = ps.build_grid(3, 5, extent=(0.0, 0.0, 105.0, 68.0))
         cells = np.random.default_rng(4).random(g.n) if kind == "random" else np.zeros(g.n)
-        svg = heatmap_svg(g, cells, title="p")
+        svg = heatmap_svg(ps.Heatmap(player_id="p", grid=g, cells=cells))
         rects = re.findall(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" '
                            r'height="([^"]+)" fill="(#[0-9a-f]{6})"/>', svg)
         cw, ch = g.cell_width * 6.0, g.cell_height * 6.0
@@ -72,22 +72,16 @@ class TestMatrixSvg:
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("render, message", [
-        (lambda v: heatmap_svg(ps.build_grid(2, 2), np.array([0.1, 0.2, v, 0.7])),
-         "heatmap cells must be finite"),
         (lambda v: matrix_svg(np.array([[0.1, v], [v, 0.1]]), ["a", "b"]),
          "matrix values must be finite"),
         (lambda v: bar_chart_svg(np.linspace(0.0, 1.0, 5), np.array([1.0, v, 3.0, 2.0])),
          "bar counts must be finite and >= 0"),
-    ], ids=["heatmap", "matrix", "bar chart"])
+    ], ids=["matrix", "bar chart"])
     def test_non_finite_values_refused(self, render, message, bad):
         with pytest.raises(ValueError, match=rf"^{message}$"):
             render(bad)
 
     @pytest.mark.parametrize("render, message", [
-        (lambda: heatmap_svg(ps.build_grid(2, 2), np.ones(3)),
-         r"heatmap cells must have shape \(4,\), got \(3,\)"),
-        (lambda: heatmap_svg(ps.build_grid(2, 2), np.ones(6)),
-         r"heatmap cells must have shape \(4,\), got \(6,\)"),
         (lambda: matrix_svg(np.ones((2, 3)), ["a", "b"]),
          r"matrix values must have shape \(2, 2\), got \(2, 3\)"),
         (lambda: matrix_svg(np.eye(3), ["a", "b"]),
@@ -95,8 +89,20 @@ class TestNonFinite:
         # a negative count would be a bar of negative height, which SVG forbids
         (lambda: bar_chart_svg(np.linspace(0.0, 1.0, 4), np.array([1.0, -2.0, 3.0])),
          "bar counts must be finite and >= 0"),
-    ], ids=["heatmap 3 cells", "heatmap 6 cells", "matrix 2x3", "matrix 3x3",
-            "bar chart negative"])
+        # one bar needs two edges, and each bin a width > 0
+        (lambda: bar_chart_svg(np.array([0.0, 0.5]), np.array([1, 2, 3, 4])),
+         "bar edges must be 5 finite, strictly increasing values"),
+        (lambda: bar_chart_svg(np.array([0.0, 0.5, 0.5]), np.array([1, 2])),
+         "bar edges must be 3 finite, strictly increasing values"),
+        (lambda: bar_chart_svg(np.array([0.0, 0.5, np.inf]), np.array([1, 2])),
+         "bar edges must be 3 finite, strictly increasing values"),
+        (lambda: bar_chart_svg(np.array([np.nan, 0.5, 1.0]), np.array([1, 2])),
+         "bar edges must be 3 finite, strictly increasing values"),
+        (lambda: bar_chart_svg(np.array([1.0, 0.5, 0.0]), np.array([1, 2])),
+         "bar edges must be 3 finite, strictly increasing values"),
+    ], ids=["matrix 2x3", "matrix 3x3", "bar chart negative", "bar chart 2 edges for 4 bars",
+            "bar chart empty bin", "bar chart inf edge", "bar chart nan edge",
+            "bar chart decreasing edges"])
     def test_values_of_the_wrong_shape_or_sign_refused(self, render, message):
         with pytest.raises(ValueError, match=rf"^{message}$"):
             render()
@@ -117,8 +123,9 @@ class TestText:
 
 # each renderer on a small input, with its left margin and its size without a title
 FRAMES = {
-    "heatmap": (lambda title: heatmap_svg(ps.build_grid(3, 5, extent=(0.0, 0.0, 105.0, 68.0)),
-                                          np.arange(15.0), title=title), 10, 650, 428),
+    "heatmap": (lambda title: heatmap_svg(ps.Heatmap(
+        player_id=title, grid=ps.build_grid(3, 5, extent=(0.0, 0.0, 105.0, 68.0)),
+        cells=np.arange(15.0))), 10, 650, 428),
     "matrix": (lambda title: matrix_svg(np.eye(3), ["a", "bb", "ccc"], title=title), 10, 98, 78),
     "bar chart": (lambda title: bar_chart_svg(np.linspace(0.0, 1.0, 5), np.array([1, 3, 0, 2]),
                                               title=title), 30, 480, 260),
