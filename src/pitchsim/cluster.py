@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _HOMES
-from .errors import AsymmetricInput, NaNInput, check_cut
+from .errors import AsymmetricInput, NaNInput, as_float64, check_cut
 
 __all__ = list(_HOMES["cluster"])
 
@@ -83,7 +83,7 @@ def complete_linkage(d, ids) -> Dendrogram:
         If ``ids`` does not hold one distinct id per row of ``d``, or ``d``
         has no rows.
     """
-    d = np.asarray(d, dtype=np.float64)
+    d = as_float64(d, "distance matrix")
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     if np.isnan(d).any():
@@ -150,7 +150,7 @@ def _newick_name(name: str) -> str:
 
 
 def _check_finite_heights(dend: Dendrogram, export: str) -> None:
-    if not np.isfinite([m.height for m in dend.merges]).all():
+    if not np.isfinite(as_float64([m.height for m in dend.merges], "dendrogram")).all():
         raise ValueError(f"merge heights must be finite for {export} export")
 
 

@@ -1,7 +1,9 @@
-"""Exception types raised by the pitchsim pipeline, and the setting rules beside them."""
+"""Exception types of the pitchsim pipeline, the setting rules and the float64 conversion."""
 
 import math
 import operator
+
+import numpy as np
 
 from . import _HOMES
 
@@ -32,9 +34,17 @@ class NonpositiveBandwidth(PitchsimError):
     """Kernel bandwidth must be finite and strictly positive."""
 
 
+def as_float64(values, what: str) -> np.ndarray:
+    """``np.asarray(values, dtype=np.float64)``, refusing a number too large for float64."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} holds a number too large for float64") from None
+
+
 def check_bandwidth(bandwidth) -> None:
     """The bandwidth rule: finite and > 0."""
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
+    if not (bandwidth > 0 and math.isfinite(as_float64(bandwidth, "bandwidth"))):
         raise NonpositiveBandwidth(f"bandwidth must be finite and > 0, got {bandwidth}")
 
 

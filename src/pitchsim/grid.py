@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import InvalidDimension
+from .errors import InvalidDimension, as_float64
 
 __all__ = list(_HOMES["grid"])
 
@@ -24,8 +24,8 @@ class PitchGrid:
 
     ``rows`` counts cells across the field width (y axis), ``cols`` across
     the field length (x axis). Cell ``(r, c)`` has flat index ``r * cols + c``.
-    Both are ints of at least 2. ``extent`` is stored as a tuple of floats,
-    so two grids are equal exactly when they describe one lattice.
+    Both are ints of at least 2. ``extent``, of finite width and height > 0, is
+    stored as a tuple of floats, so two grids are equal exactly when they describe one lattice.
     """
 
     rows: int
@@ -41,9 +41,9 @@ class PitchGrid:
                 f"grid sizes must be ints, got {self.rows!r}x{self.cols!r}") from None
         if self.rows < 2 or self.cols < 2:
             raise InvalidDimension(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
-        object.__setattr__(self, "extent", tuple(float(v) for v in self.extent))
+        object.__setattr__(self, "extent", tuple(as_float64(self.extent, "extent").tolist()))
         xmin, ymin, xmax, ymax = self.extent
-        if not (xmax > xmin and ymax > ymin):
+        if not (0 < xmax - xmin < np.inf and 0 < ymax - ymin < np.inf):
             raise InvalidDimension(f"degenerate extent {self.extent!r}")
 
     @property
@@ -102,7 +102,10 @@ class WeightsMatrix:
         Each pair is stored symmetrically; duplicates collapse to one 1. No
         n-by-n array is built, so memory follows the pair count.
         """
-        p = np.array([(i, j) for i, j in pairs], dtype=np.intp).reshape(-1, 2)
+        try:
+            p = np.array([(i, j) for i, j in pairs], dtype=np.intp).reshape(-1, 2)
+        except OverflowError:  # an index intp cannot hold
+            raise ValueError(f"neighbour index outside [0, {n})") from None
         self_pairs = np.flatnonzero(p[:, 0] == p[:, 1])
         if self_pairs.size:
             i, j = p[self_pairs[0]]
@@ -161,7 +164,7 @@ def build_grid(rows: int, cols: int, extent=DEFAULT_EXTENT) -> PitchGrid:
     Raises
     ------
     InvalidDimension
-        If rows or cols is not an int >= 2, or the extent has nonpositive width/height.
+        If rows or cols is not an int >= 2, or the extent is not of finite width/height > 0.
     """
     return PitchGrid(rows, cols, extent)
 

@@ -16,6 +16,7 @@ from .errors import (
     MalformedHeatmap,
     MalformedRecord,
     ZeroMass,
+    as_float64,
     check_bandwidth,
 )
 from .grid import DEFAULT_EXTENT, PitchGrid, build_grid
@@ -59,7 +60,7 @@ class Heatmap:
     cells: np.ndarray
 
     def __post_init__(self):
-        cells = np.array(self.cells, dtype=np.float64).ravel()
+        cells = as_float64(self.cells, f"heatmap {self.player_id!r}").ravel().copy()
         if cells.shape[0] != self.grid.n:
             raise ValueError(f"heatmap {self.player_id!r} has {cells.shape[0]} cells, "
                              f"expected {self.grid.n}")
@@ -160,7 +161,7 @@ def _add_batch(pieces: dict[str, list[np.ndarray]], extent, ids, xyz) -> tuple[i
     """
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     x, y, value = xyz.T
-    xmin, ymin, xmax, ymax = extent
+    xmin, ymin, xmax, ymax = as_float64(extent, "extent")
     negative = value < 0
     inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
     kept = np.flatnonzero(inside & ~negative)
@@ -308,7 +309,7 @@ def rasterize(points, grid: PitchGrid, bandwidth: float, player_id: str = "") ->
     ZeroMass
         If the kernel sum overflows, so that a cell is not finite.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = as_float64(points, "points array")
     if points.size == 0:
         raise EmptyInput("rasterize needs at least one activity point")
     if points.ndim != 2 or points.shape[1] != 3:
@@ -412,10 +413,4 @@ def heatmap_from_json(doc: dict, extent=DEFAULT_EXTENT) -> Heatmap:
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in doc["cells"]):
         raise MalformedHeatmap("heatmap field 'cells' must hold only numbers")
     grid = build_grid(doc["rows"], doc["cols"], extent)
-    try:
-        cells = np.asarray(doc["cells"], dtype=np.float64)
-    except OverflowError:
-        raise MalformedHeatmap(
-            "heatmap field 'cells' holds a number too large for float64"
-        ) from None
-    return Heatmap(player_id=doc["player_id"], grid=grid, cells=cells)
+    return Heatmap(player_id=doc["player_id"], grid=grid, cells=doc["cells"])

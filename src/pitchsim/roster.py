@@ -14,7 +14,7 @@ from itertools import repeat
 import numpy as np
 
 from . import _HOMES
-from .errors import GridMismatch, ZeroVariance, check_n_perm, check_seed, check_workers
+from .errors import GridMismatch, ZeroVariance, as_float64, check_n_perm, check_seed, check_workers
 from .grid import WeightsMatrix
 from .heatmap import Heatmap
 from .stats import (
@@ -202,8 +202,8 @@ def matrix_to_json(m: RosterMatrix) -> dict:
         "player_ids": list(m.player_ids),
         "n_perm": m.n_perm,
         "master_seed": m.master_seed,
-        "p": np.asarray(m.pseudo_distance, dtype=np.float64).tolist(),
-        "l": np.asarray(m.statistic, dtype=np.float64).tolist(),
+        "p": as_float64(m.pseudo_distance, "pseudo_distance").tolist(),
+        "l": as_float64(m.statistic, "statistic").tolist(),
     }
 
 
@@ -213,8 +213,8 @@ def pairs_to_csv(m: RosterMatrix) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["player_a", "player_b", "lee_l", "p_value"])
     ids = m.player_ids
-    lmat = np.asarray(m.statistic, dtype=np.float64).tolist()
-    pmat = np.asarray(m.pseudo_distance, dtype=np.float64).tolist()
+    lmat = as_float64(m.statistic, "statistic").tolist()
+    pmat = as_float64(m.pseudo_distance, "pseudo_distance").tolist()
     for i, a in enumerate(ids):
         writer.writerows(zip(repeat(a), ids[i:], map(repr, lmat[i][i:]), map(repr, pmat[i][i:])))
     return buf.getvalue()

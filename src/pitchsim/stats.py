@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import IsolatedCell, ZeroVariance, check_n_perm, check_seed
+from .errors import IsolatedCell, ZeroVariance, as_float64, check_n_perm, check_seed
 from .grid import WeightsMatrix
 
 __all__ = list(_HOMES["stats"])
@@ -113,7 +113,7 @@ def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
     ZeroVariance
         If ``values`` is constant.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
+    v = as_float64(values, name).ravel()
     if v.shape[0] != w.n:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {w.n}")
     if not np.all(np.isfinite(v)):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import as_float64
 from .heatmap import Heatmap
 
 __all__ = ["heatmap_svg", "matrix_svg", "bar_chart_svg"]
@@ -107,7 +108,7 @@ def matrix_svg(values: np.ndarray, labels: list[str], title: str = "") -> str:
     ValueError
         If ``values`` is not square with one row per label, or any value is NaN or infinite.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = as_float64(values, "matrix")
     if values.shape != (len(labels),) * 2:
         raise ValueError(f"matrix values must have shape {(len(labels),) * 2}, got {values.shape}")
     if not np.isfinite(values).all():
@@ -143,10 +144,10 @@ def bar_chart_svg(edges: np.ndarray, counts: np.ndarray, title: str = "") -> str
         If any count is NaN, infinite or negative, or ``edges`` are not
         ``len(counts) + 1`` finite, strictly increasing values.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = as_float64(counts, "bar counts array")
     if not (np.isfinite(counts).all() and (counts >= 0).all()):
         raise ValueError("bar counts must be finite and >= 0")
-    edges = np.asarray(edges, dtype=np.float64)
+    edges = as_float64(edges, "bar edges array")
     if edges.shape != (len(counts) + 1,) or not (np.isfinite(edges).all()
                                                  and (edges[:-1] < edges[1:]).all()):
         raise ValueError(f"bar edges must be {len(counts) + 1} finite, strictly increasing values")

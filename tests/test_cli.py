@@ -708,7 +708,6 @@ class TestMalformedHeatmap:
         ("cells", lambda d: d["cells"].__setitem__(0, "0.5")),
         ("normalized", lambda d: d.update(normalized="yes")),
         ("player_id", lambda d: d.update(player_id=7)),
-        ("cells", lambda d: d["cells"].__setitem__(0, 10**400)),
         # valid JSON, but no UTF-8 form: cluster would warn, then fail at the digest
         pytest.param("player_id", lambda d: d.update(player_id="\ud800x"),
                      id="player_id-lone-surrogate"),
@@ -731,6 +730,27 @@ class TestMalformedHeatmap:
         assert len(err) == 1
         assert err[0].startswith(f"error: {bad}: ")
         assert repr(field) in err[0]
+
+    @pytest.mark.parametrize("command", ["cluster", "compare"])
+    def test_cell_too_large_for_float64_names_the_player(self, five_heatmap_dir, tmp_path,
+                                                         capsys, command):
+        # a JSON integer of 401 digits: Heatmap's one conversion rule refuses it
+        paths = _heatmap_args(five_heatmap_dir)
+        doc = json.loads(Path(paths[0]).read_text(encoding="utf-8"))
+        doc["cells"][0] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, str(bad), *paths[1:]]
+        if command == "compare":
+            argv[1:1] = ["gk", "fwd"]
+        else:
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {bad}: heatmap {doc['player_id']!r} holds a number "
+                                "too large for float64\n")
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["cluster", "compare"])
     def test_non_utf8_file_fails_with_one_error_line_naming_it(self, five_heatmap_dir,

@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 
 import pitchsim
+import pitchsim.svg
+
+from test_refusals import NUMERIC
 
 # the 45 public names of pitchsim 0.1.0 by home module, pinned so that
 # none is lost or moves
@@ -61,6 +64,35 @@ def test_star_import_of_a_home_module_binds_exactly_its_names(module):
 def test_every_error_is_a_value_error(name):
     # a caller catches every library refusal, PitchsimError or not, as ValueError
     assert issubclass(getattr(pitchsim, name), ValueError)
+
+
+# public callables that take no numbers of the caller's: the errors take a message,
+# the functions ids, text, a scheme, int counts and seeds (refused with TypeError when
+# not ints) or records whose numbers were checked when they were built; the records
+# below store their fields as given, and each function that reads their numbers is in
+# test_refusals.NUMERIC
+TAKE_NO_NUMBERS = {
+    *PUBLIC["errors"],
+    "DropCounts", "Merge", "PreparedCells", "RosterMatrix", "TestResult",
+    "adjacency", "clusters_to_csv", "compute_matrix", "heatmap_to_json", "normalize",
+    "pair_seed", "pair_test", "svg.heatmap_svg",
+}
+CALLABLES = sorted([name for name in pitchsim.__all__ if callable(getattr(pitchsim, name))]
+                   + [f"svg.{name}" for name in pitchsim.svg.__all__])
+
+
+@pytest.mark.parametrize("name", CALLABLES)
+def test_every_public_callable_is_classified_by_the_numbers_it_takes(name):
+    # a class is in NUMERIC when one of its methods is, as WeightsMatrix is by from_pairs
+    numeric = name in NUMERIC or any(key.startswith(f"{name}.") for key in NUMERIC)
+    assert numeric != (name in TAKE_NO_NUMBERS), (
+        f"list {name} in test_refusals.NUMERIC if it takes numbers, else in TAKE_NO_NUMBERS")
+
+
+def test_number_lists_name_only_public_callables():
+    owners = {key if key.startswith("svg.") else key.partition(".")[0]
+              for key in [*NUMERIC, *TAKE_NO_NUMBERS]}
+    assert owners <= set(CALLABLES)
 
 
 def test_dir_lists_every_name():

@@ -56,6 +56,18 @@ class TestBuildGrid:
         with pytest.raises(InvalidDimension):
             ps.build_grid(2, 2, extent=(0, 0, 0, 100))
 
+    @pytest.mark.parametrize("extent", [
+        (0, 0, float("inf"), 1), (float("-inf"), 0, 1, 1), (0, 0, 1, float("nan")),
+        (0, float("-inf"), 1, float("inf")),
+        # finite bounds whose width overflows to inf
+        (-1.7e308, 0, 1.7e308, 1),
+    ])
+    def test_extent_that_is_not_finite_rejected(self, extent):
+        # an infinite extent would rasterize to all-zero cells and draw width="inf" in SVG
+        for make in (ps.build_grid, ps.PitchGrid):
+            with pytest.raises(InvalidDimension, match="degenerate extent"):
+                make(2, 2, extent)
+
     def test_row_major_indexing(self):
         # cell (r, c) has flat index r * cols + c: x varies fastest
         g = ps.build_grid(3, 4)
@@ -151,7 +163,7 @@ class TestWeightsMatrix:
             ps.WeightsMatrix.from_pairs(3, [(1, 1)])
 
     def test_rejects_pair_outside_lattice(self):
-        for pair in ((0, 3), (-1, 2)):
+        for pair in ((0, 3), (-1, 2), (0, 10**30), (-10**30, 1), (0, 2**64)):
             with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
                 ps.WeightsMatrix.from_pairs(3, [(0, 1), pair])
 
