@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import InvalidDimension, as_float64
+from .errors import InvalidDimension, IsolatedCell, as_float64
 
 __all__ = list(_HOMES["grid"])
 
@@ -16,6 +16,14 @@ __all__ = list(_HOMES["grid"])
 DEFAULT_EXTENT = (0.0, 0.0, 100.0, 100.0)
 
 SCHEMES = ("rook", "queen")
+
+
+def check_extent(extent) -> tuple[float, float, float, float]:
+    """The extent rule: (xmin, ymin, xmax, ymax) floats of finite width and height > 0."""
+    xmin, ymin, xmax, ymax = extent = tuple(as_float64(extent, "extent").tolist())
+    if not (0 < xmax - xmin < np.inf and 0 < ymax - ymin < np.inf):
+        raise InvalidDimension(f"degenerate extent {extent!r}")
+    return extent
 
 
 @dataclass(frozen=True)
@@ -41,10 +49,7 @@ class PitchGrid:
                 f"grid sizes must be ints, got {self.rows!r}x{self.cols!r}") from None
         if self.rows < 2 or self.cols < 2:
             raise InvalidDimension(f"grid must be at least 2x2, got {self.rows}x{self.cols}")
-        object.__setattr__(self, "extent", tuple(as_float64(self.extent, "extent").tolist()))
-        xmin, ymin, xmax, ymax = self.extent
-        if not (0 < xmax - xmin < np.inf and 0 < ymax - ymin < np.inf):
-            raise InvalidDimension(f"degenerate extent {self.extent!r}")
+        object.__setattr__(self, "extent", check_extent(self.extent))
 
     @property
     def n(self) -> int:
@@ -70,52 +75,44 @@ class PitchGrid:
 
 
 class WeightsMatrix:
-    """Binary contiguity weights over grid cells.
+    """Binary contiguity weights over ``n`` cells, from ``(i, j)`` neighbour pairs.
 
-    An n-by-n matrix of 0/1 entries, symmetric with a zero diagonal, held as
-    a neighbour table: a C-contiguous ``(width, n)`` intp array whose column
-    ``i`` lists cell ``i``'s neighbours in ascending order, padded with
-    ``n``. ``width`` is the largest neighbour count, at most 8 on a lattice.
-
-    ``grid`` is the :class:`PitchGrid` that :func:`adjacency` built the
-    weights on, or None for :meth:`from_pairs` weights. The constructor
-    takes the entries those two build as given: distinct, symmetric,
-    off-diagonal ``(rows, cols)`` pairs in row-major order.
+    Each pair is stored both ways, duplicates once. The n-by-n 0/1 matrix,
+    symmetric with a zero diagonal, is held as a C-contiguous ``(width, n)``
+    intp table whose column ``i`` lists cell ``i``'s neighbours in ascending
+    order, padded with ``n``; ``width`` is the largest neighbour count. ``grid``
+    is the :class:`PitchGrid` the weights lie on, or None; ``scale`` is Lee's
+    normalizer n / sum_i (sum_j w_ij)^2. ``n`` < 1, a self-pair or an index
+    outside [0, n) raises ``ValueError``, a cell with no neighbour :class:`IsolatedCell`.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray, grid=None):
+    def __init__(self, n: int, pairs, grid=None):
+        if n < 1:
+            raise ValueError(f"weights need n >= 1 cells, got n = {n}")
+        try:
+            p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        except OverflowError:  # an index intp cannot hold
+            raise ValueError(f"neighbour index outside [0, {n})") from None
+        same = p[:, 0] == p[:, 1]
+        if same.any():
+            raise ValueError(f"self-neighbour entry {tuple(p[same.argmax()].tolist())}")
+        if p.size and (p.min() < 0 or p.max() >= n):
+            raise ValueError(f"neighbour index outside [0, {n})")
+        # one key per directed entry, row-major: sorted, they list each row's neighbours in
+        # order (a sort and a mask: numpy 2's np.unique hashes first, far slower on these keys)
+        keys = np.sort(np.concatenate((p[:, 0] * n + p[:, 1], p[:, 1] * n + p[:, 0])))
+        rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
         counts = np.bincount(rows, minlength=n)
-        table = np.full((int(counts.max(initial=0)), n), n, dtype=np.intp)
+        if not counts.all():
+            raise IsolatedCell(f"cell {int(np.argmin(counts))} has no neighbours")
+        table = np.full((int(counts.max()), n), n, dtype=np.intp)
         # rank of each entry within its row
         table[np.arange(rows.size) - (np.cumsum(counts) - counts)[rows], rows] = cols
         table.flags.writeable = False
         row_sums = counts.astype(np.float64)
         row_sums.flags.writeable = False
-        self._table = table
-        self._row_sums = row_sums
-        self.grid = grid
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs):
-        """Build from an iterable of (i, j) neighbour pairs, on no grid.
-
-        Each pair is stored symmetrically; duplicates collapse to one 1. No
-        n-by-n array is built, so memory follows the pair count.
-        """
-        try:
-            p = np.array([(i, j) for i, j in pairs], dtype=np.intp).reshape(-1, 2)
-        except OverflowError:  # an index intp cannot hold
-            raise ValueError(f"neighbour index outside [0, {n})") from None
-        self_pairs = np.flatnonzero(p[:, 0] == p[:, 1])
-        if self_pairs.size:
-            i, j = p[self_pairs[0]]
-            raise ValueError(f"self-neighbour entry ({i}, {j})")
-        if p.size and (p.min() < 0 or p.max() >= n):
-            raise ValueError(f"neighbour index outside [0, {n})")
-        # one key per directed entry, row-major: sorted keys give each row's
-        # neighbours in ascending order
-        keys = np.unique(np.concatenate((p[:, 0] * n + p[:, 1], p[:, 1] * n + p[:, 0])))
-        return cls(n, *np.divmod(keys, n))
+        self._table, self._row_sums, self.grid = table, row_sums, grid
+        self.scale = n / float(row_sums @ row_sums)
 
     @property
     def n(self) -> int:
@@ -178,11 +175,9 @@ def adjacency(grid: PitchGrid, scheme: str = "queen") -> WeightsMatrix:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"scheme must be {' or '.join(SCHEMES)}, got {scheme!r}")
-    # lattice steps in ascending order of their flat offset dr * cols + dc
-    # (|dc| < cols), so each cell's neighbours come out in ascending order
-    dr, dc = np.array([(r, c) for r in (-1, 0, 1) for c in (-1, 0, 1)
-                       if (r or c) and (scheme == "queen" or not (r and c))]).T
+    # the forward lattice steps, edge-sharing first; the weights store each pair both ways
+    dr, dc = np.array([(0, 1), (1, 0), (1, -1), (1, 1)][:4 if scheme == "queen" else 2]).T
     row, col = np.divmod(np.arange(grid.n), grid.cols)
     nr, nc = row[:, None] + dr, col[:, None] + dc
-    cells, step = np.nonzero((0 <= nr) & (nr < grid.rows) & (0 <= nc) & (nc < grid.cols))
-    return WeightsMatrix(grid.n, cells, (nr * grid.cols + nc)[cells, step], grid)
+    cells, step = np.nonzero((nr < grid.rows) & (0 <= nc) & (nc < grid.cols))
+    return WeightsMatrix(grid.n, np.column_stack((cells, (nr * grid.cols + nc)[cells, step])), grid)

@@ -19,7 +19,7 @@ from .errors import (
     as_float64,
     check_bandwidth,
 )
-from .grid import DEFAULT_EXTENT, PitchGrid, build_grid
+from .grid import DEFAULT_EXTENT, PitchGrid, build_grid, check_extent
 
 __all__ = list(_HOMES["heatmap"])
 
@@ -155,13 +155,13 @@ def _csv_block(lines, n, first: int):
 def _add_batch(pieces: dict[str, list[np.ndarray]], extent, ids, xyz) -> tuple[int, int]:
     """Append a batch's accepted rows to each player's piece list in ``pieces``.
 
-    ``ids`` are the rows' raw player ids and ``xyz`` their x, y, value
-    fields, flat or as ``(m, 3)``. Returns the numbers of rows dropped as out
-    of extent and as negative.
+    ``extent`` holds the checked (xmin, ymin, xmax, ymax) floats, ``ids`` the
+    rows' raw player ids and ``xyz`` their x, y, value fields, flat or as
+    ``(m, 3)``. Returns the numbers of rows dropped as out of extent and as negative.
     """
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     x, y, value = xyz.T
-    xmin, ymin, xmax, ymax = as_float64(extent, "extent")
+    xmin, ymin, xmax, ymax = extent
     negative = value < 0
     inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
     kept = np.flatnonzero(inside & ~negative)
@@ -224,12 +224,15 @@ def parse_activity_groups(source, extent=DEFAULT_EXTENT):
 
     Raises
     ------
+    InvalidDimension
+        If the extent is not of finite width and height > 0, as for :class:`PitchGrid`.
     MalformedRecord
         On a bad header, a row without 4 fields, a non-numeric or non-finite
         x/y/value field, or a field over ``csv.field_size_limit()``.
     EmptyInput
         When no valid rows remain.
     """
+    extent = check_extent(extent)
     stream, owned = _open_text(source)
     try:
         reader = csv.reader(stream)

@@ -166,7 +166,7 @@ def compute_matrix(
     ------
     GridMismatch
         If a heatmap is not on the grid ``w`` was built on by
-        :func:`~pitchsim.grid.adjacency`; ``from_pairs`` weights are on none.
+        :func:`~pitchsim.grid.adjacency`; weights built on no grid match no heatmap.
     ZeroVariance
         Naming the first player whose heatmap is constant.
     InsufficientPermutations
@@ -198,13 +198,18 @@ def compute_matrix(
 
 
 def matrix_to_json(m: RosterMatrix) -> dict:
-    return {
-        "player_ids": list(m.player_ids),
-        "n_perm": m.n_perm,
-        "master_seed": m.master_seed,
-        "p": as_float64(m.pseudo_distance, "pseudo_distance").tolist(),
-        "l": as_float64(m.statistic, "statistic").tolist(),
-    }
+    """The roster matrix as a JSON-ready document.
+
+    Raises
+    ------
+    ValueError
+        If a p or L value is not finite: JSON has no NaN or infinity.
+    """
+    p, lee = as_float64(m.pseudo_distance, "pseudo_distance"), as_float64(m.statistic, "statistic")
+    if not (np.isfinite(p).all() and np.isfinite(lee).all()):
+        raise ValueError("p and L values must be finite for JSON export")
+    return {"player_ids": list(m.player_ids), "n_perm": m.n_perm,
+            "master_seed": m.master_seed, "p": p.tolist(), "l": lee.tolist()}
 
 
 def pairs_to_csv(m: RosterMatrix) -> str:

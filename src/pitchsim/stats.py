@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import IsolatedCell, ZeroVariance, as_float64, check_n_perm, check_seed
+from .errors import ZeroVariance, as_float64, check_n_perm, check_seed
 from .grid import WeightsMatrix
 
 __all__ = list(_HOMES["stats"])
@@ -79,9 +79,7 @@ class PreparedCells:
     Attributes
     ----------
     w : WeightsMatrix
-        The weights the record was prepared on.
-    scale : float
-        n / sum_i (sum_j w_ij)^2, Lee's normalizer; a property of ``w``.
+        The weights the record was prepared on; ``w.scale`` is Lee's normalizer.
     vc : ndarray
         Mean-centered cells.
     norm : float
@@ -93,7 +91,6 @@ class PreparedCells:
     """
 
     w: WeightsMatrix
-    scale: float
     vc: np.ndarray
     norm: float
     lag: np.ndarray
@@ -108,8 +105,6 @@ def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
     ValueError
         If ``values`` does not have one finite value per cell, or its sum of
         squared deviations is outside [1e-300, 1e300].
-    IsolatedCell
-        If any cell of ``w`` has no neighbours.
     ZeroVariance
         If ``values`` is constant.
     """
@@ -118,10 +113,6 @@ def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {w.n}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite values")
-    row_sums = w.row_sums()
-    if np.any(row_sums == 0.0):
-        isolated = int(np.flatnonzero(row_sums == 0.0)[0])
-        raise IsolatedCell(f"cell {isolated} has no neighbours")
     with np.errstate(over="ignore", invalid="ignore"):  # such a sum is refused below
         vc = v - v.mean()
         ss = float(vc @ vc)
@@ -137,8 +128,7 @@ def prepare_cells(values, w: WeightsMatrix, name: str = "x") -> PreparedCells:
     lag2 = w.lag(lag)
     for a in (vc, lag, lag2):
         a.flags.writeable = False
-    return PreparedCells(w=w, scale=w.n / float(row_sums @ row_sums), vc=vc,
-                         norm=math.sqrt(ss), lag=lag, lag2=lag2)
+    return PreparedCells(w=w, vc=vc, norm=math.sqrt(ss), lag=lag, lag2=lag2)
 
 
 def _prepared(x, y, w: WeightsMatrix) -> tuple[PreparedCells, PreparedCells]:
@@ -157,7 +147,7 @@ def _observed(x: PreparedCells, y: PreparedCells) -> tuple[float, np.ndarray]:
     """Observed Lee's L of the pair and u = x.lag2 * scale / denom, so that
     L(pi) = y.vc[pi] @ u."""
     denom = x.norm * y.norm
-    return x.scale * float(x.lag @ y.lag) / denom, x.lag2 * (x.scale / denom)
+    return x.w.scale * float(x.lag @ y.lag) / denom, x.lag2 * (x.w.scale / denom)
 
 
 def lees_l(x, y, w: WeightsMatrix) -> float:
@@ -176,8 +166,6 @@ def lees_l(x, y, w: WeightsMatrix) -> float:
     ------
     ZeroVariance
         If either vector is constant.
-    IsolatedCell
-        If any cell has no neighbours.
     """
     return _observed(*_prepared(x, y, w))[0]
 

@@ -72,8 +72,13 @@ def _escape(s: str) -> str:
 
 
 def heatmap_svg(h: Heatmap) -> str:
-    """Shade each grid cell by its activity value on a field-shaped canvas, titled
-    with the player id."""
+    """Shade each grid cell by its activity on a field-shaped canvas, titled with the player id.
+
+    Raises
+    ------
+    ValueError
+        If the canvas, 6 units per field unit, is too large to be finite.
+    """
     grid, cells, title = h.grid, h.cells, h.player_id
     top = float(cells.max())
     scale = 6.0
@@ -82,6 +87,8 @@ def heatmap_svg(h: Heatmap) -> str:
     field_h = (ymax - ymin) * scale
     margin = 10.0
     header = 22.0 if title else 0.0
+    if not np.isfinite([field_w, field_h]).all():
+        raise ValueError(f"heatmap {title!r} is too large to draw: field {field_w} by {field_h}")
 
     body = []
     cw = grid.cell_width * scale

@@ -13,6 +13,7 @@ import pytest
 
 import pitchsim as ps
 from pitchsim.cli import main as cli_main
+from pitchsim.errors import IsolatedCell
 
 from oracles import exhaustive_p, lee_formula, moran_formula
 from rosters import (
@@ -39,11 +40,10 @@ def _random_weights(rng, n):
     while True:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.45]
-        if not pairs:
+        try:
+            return ps.WeightsMatrix(n, pairs)
+        except IsolatedCell:
             continue
-        w = ps.WeightsMatrix.from_pairs(n, pairs)
-        if np.all(w.row_sums() > 0):
-            return w
 
 
 @pytest.fixture(scope="module")

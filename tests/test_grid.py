@@ -1,9 +1,13 @@
 """Lattice construction and contiguity weights."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import pitchsim as ps
 from pitchsim.errors import InvalidDimension
 
@@ -146,7 +150,7 @@ class TestAdjacency:
         g = ps.build_grid(3, 4)
         assert ps.adjacency(g, "rook").grid is g
         assert ps.adjacency(g, "queen").grid is g
-        assert ps.WeightsMatrix.from_pairs(3, [(0, 1)]).grid is None
+        assert ps.WeightsMatrix(3, [(0, 1), (1, 2)]).grid is None
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
@@ -154,18 +158,58 @@ class TestAdjacency:
 
 
 class TestWeightsMatrix:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_cells_refused_without_warning(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^weights need n >= 1 cells, got n = {n}$"):
+                ps.WeightsMatrix(n, [])
+
     def test_duplicate_pairs_collapse_to_one(self):
-        w = ps.WeightsMatrix.from_pairs(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
+        w = ps.WeightsMatrix(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
         assert np.array_equal(w.to_dense(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError):
-            ps.WeightsMatrix.from_pairs(3, [(1, 1)])
+            ps.WeightsMatrix(3, [(1, 1)])
 
     def test_rejects_pair_outside_lattice(self):
         for pair in ((0, 3), (-1, 2), (0, 10**30), (-10**30, 1), (0, 2**64)):
             with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
-                ps.WeightsMatrix.from_pairs(3, [(0, 1), pair])
+                ps.WeightsMatrix(3, [(0, 1), pair])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 6), data=st.data())
+    def test_built_from_any_pairs_or_refused(self, n, data):
+        # pairs (i, i + k mod n), 0 < k < n, then at most one of indices from -1 to n:
+        # duplicates, both orders, self-pairs, misses and isolated cells all occur
+        step = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(1, max(n - 1, 1)))
+        pairs = [(i, (i + k) % max(n, 1)) for i, k in data.draw(st.lists(step, max_size=10))]
+        if pairs and data.draw(st.booleans()):
+            index = st.integers(-1, n)
+            pairs[data.draw(st.integers(0, len(pairs) - 1))] = data.draw(st.tuples(index, index))
+        valid = n >= 1 and all(0 <= i < n and 0 <= j < n and i != j for i, j in pairs)
+        dense = np.zeros((max(n, 0), max(n, 0)))
+        if valid:
+            for i, j in pairs:
+                dense[i, j] = dense[j, i] = 1.0
+        try:
+            w = ps.WeightsMatrix(n, pairs)
+        except ValueError:
+            assert not (valid and dense.any(axis=1).all())
+            return
+        assert valid
+        assert np.array_equal(w.to_dense(), dense)
+        assert not np.diag(dense).any() and dense.any(axis=1).all()
+        rs = dense.sum(axis=1)
+        assert np.array_equal(w.row_sums(), rs) and w.nnz == rs.sum()
+        assert w.scale == n / float(rs @ rs)
+        # the same pairs in another order, some of them turned round
+        flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        turned = [(j, i) if flip else (i, j) for (i, j), flip in zip(pairs, flips)]
+        other = ps.WeightsMatrix(n, data.draw(st.permutations(turned)))
+        v = np.random.default_rng(n).normal(size=n) * 10.0 ** np.arange(-n, n, 2)
+        assert other.lag(v).tobytes() == w.lag(v).tobytes() == sequential_lag(dense, v).tobytes()
 
     def test_lag_is_neighbour_sum(self):
         w = ps.adjacency(ps.build_grid(2, 2), "rook")

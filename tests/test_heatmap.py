@@ -22,6 +22,7 @@ import pitchsim as ps
 from pitchsim import heatmap
 from pitchsim.errors import (
     EmptyInput,
+    InvalidDimension,
     MalformedHeatmap,
     MalformedRecord,
     NonpositiveBandwidth,
@@ -56,6 +57,13 @@ class TestParsing:
         )
         assert len(groups["p1"]) == 1
         assert drops.out_of_extent == 1 and drops.total == 1
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf])
+    def test_non_finite_extent_refused(self, bound):
+        with pytest.raises(InvalidDimension,
+                           match=rf"^degenerate extent \(0\.0, 0\.0, {bound}, 100\.0\)$"):
+            ps.parse_activity_groups(_csv("player_id,x,y,value\np1,50,50,3.0\n"),
+                                     (0, 0, bound, 100))
 
     def test_non_numeric_field_aborts_with_line_number(self):
         with pytest.raises(MalformedRecord, match="line 3"):

@@ -66,8 +66,7 @@ NUMERIC = {
     "Dendrogram": _dendrogram,
     "Heatmap": lambda draw: ps.Heatmap("p", GRID, _numbers(draw, 4)),
     "PitchGrid": lambda draw: ps.PitchGrid(2, 2, _extent(draw)),
-    "WeightsMatrix.from_pairs":
-        lambda draw: ps.WeightsMatrix.from_pairs(3, [tuple(_numbers(draw, 2))]),
+    "WeightsMatrix": lambda draw: ps.WeightsMatrix(2, [tuple(_numbers(draw, 2))]),
     "build_grid": lambda draw: ps.build_grid(2, 2, _extent(draw)),
     "complete_linkage": lambda draw: ps.complete_linkage(_distances(draw), ["a", "b", "c"]),
     "cut": lambda draw: ps.cut(_dendrogram(draw), draw(NUMBER)),

@@ -2,10 +2,12 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import threading
 import weakref
@@ -309,7 +311,7 @@ class TestValidation:
         # have the heatmaps' cell count
         for w in (ps.adjacency(ps.build_grid(7, 10), "queen"),
                   ps.adjacency(ps.build_grid(grid.cols, grid.rows), "rook"),
-                  ps.WeightsMatrix.from_pairs(grid.n, np.argwhere(weights.to_dense()))):
+                  ps.WeightsMatrix(grid.n, np.argwhere(weights.to_dense()))):
             with pytest.raises(GridMismatch, match="weights"):
                 ps.compute_matrix([a, b], w, n_perm=9)
 
@@ -403,7 +405,7 @@ class TestPairTestValidation:
         elif case == "weights of the transposed grid":
             w = ps.adjacency(ps.build_grid(grid.cols, grid.rows), "queen")
         elif case == "weights from pairs":
-            w = ps.WeightsMatrix.from_pairs(grid.n, np.argwhere(weights.to_dense()))
+            w = ps.WeightsMatrix(grid.n, np.argwhere(weights.to_dense()))
         elif case == "unnormalized":
             b = ps.rasterize([(60.0, 60.0, 1.0)], grid, 5.0, player_id="b")
         elif case == "shared id":
@@ -635,6 +637,15 @@ class TestSerialization:
         assert doc["master_seed"] == five_matrix.master_seed
         assert np.array_equal(np.asarray(doc["p"]), five_matrix.pseudo_distance)
         assert np.array_equal(np.asarray(doc["l"]), five_matrix.statistic)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["pseudo_distance", "statistic"])
+    def test_non_finite_value_refused_for_json(self, five_matrix, field, bad):
+        values = getattr(five_matrix, field).copy()
+        values[0, 1] = values[1, 0] = bad
+        m = dataclasses.replace(five_matrix, **{field: values})
+        with pytest.raises(ValueError, match="^p and L values must be finite for JSON export$"):
+            ps.matrix_to_json(m)
 
     def test_pairs_csv_layout(self, five_matrix):
         text = ps.pairs_to_csv(five_matrix)

@@ -102,7 +102,7 @@ class TestMoransI:
         for n in (3, 5, 8):
             pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
             pairs |= {(i, i + 1) for i in range(n - 1)}  # no isolated cell
-            w = ps.WeightsMatrix.from_pairs(n, sorted(pairs))
+            w = ps.WeightsMatrix(n, sorted(pairs))
             dense = w.to_dense()
             assert w.nnz == 2 * len(pairs) == dense.sum()
             x = rng.normal(size=n)
@@ -119,13 +119,11 @@ class TestMoransI:
             ps.prepare_cells(np.ones(4), w)
 
     def test_empty_weights_rejected(self):
-        # S0 = 0 leaves Moran's I undefined; the package refuses every cell
-        w = ps.WeightsMatrix.from_pairs(3, [])
-        x = np.array([1.0, 2.0, 3.0])
+        # S0 = 0 leaves Moran's I undefined; the package refuses such weights
         with pytest.raises(ZeroDivisionError):
-            moran_formula(x, w.to_dense())
+            moran_formula(np.array([1.0, 2.0, 3.0]), np.zeros((3, 3)))
         with pytest.raises(IsolatedCell, match="^cell 0 has no neighbours$"):
-            ps.prepare_cells(x, w)
+            ps.WeightsMatrix(3, [])
 
 
 class TestLeesL:
@@ -182,9 +180,9 @@ class TestLeesL:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_isolated_cell_rejected(self):
-        w = ps.WeightsMatrix.from_pairs(3, [(0, 1)])
-        with pytest.raises(IsolatedCell):
-            ps.lees_l(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0]), w)
+        # refused when the weights are built, before any statistic reads them
+        with pytest.raises(IsolatedCell, match="^cell 2 has no neighbours$"):
+            ps.WeightsMatrix(3, [(0, 1)])
 
     def test_non_finite_input_rejected(self):
         w = _rook(2, 2)
@@ -426,7 +424,7 @@ class TestRelabeledCells:
         y = stats.prepare_cells(rng.random(w.n), w, "y")
         seed = 3 + n_perm
         l_obs = ps.lees_l(x, y, w)
-        u = x.lag2 * (x.scale / (x.norm * y.norm))
+        u = x.lag2 * (x.w.scale / (x.norm * y.norm))
         drawn = []
 
         class Recording(np.random.Generator):
@@ -631,7 +629,7 @@ class TestExactPermutationTest:
     """
 
     def test_two_cells(self):
-        w = ps.WeightsMatrix.from_pairs(2, [(0, 1)])
+        w = ps.WeightsMatrix(2, [(0, 1)])
         x = np.array([0.0, 1.0])
         assert exhaustive_p(x, x, w.to_dense()) == (0.5, pytest.approx(1.0, rel=1e-12))
         assert exhaustive_p(x, x[::-1], w.to_dense()) == (1.0, pytest.approx(-1.0, rel=1e-12))
@@ -691,6 +689,20 @@ class TestExactPermutationTest:
         mc = ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=10000, seed=3)
         se = math.sqrt(p_exact * (1 - p_exact) / 10000)
         assert abs(mc.p_value - p_exact) <= 3.0 * se
+
+    def test_one_way_pairs_give_the_exact_p(self):
+        # pairs listed one way only still build symmetric weights, on which
+        # the kernel's W W xc is Lee's L: the Monte Carlo p is the exact one
+        w = ps.WeightsMatrix(6, list(zip([0, 0, 1, 2, 3, 3, 4, 5], [1, 2, 2, 0, 0, 1, 3, 4])))
+        assert np.array_equal(w.to_dense(), w.to_dense().T) and w.nnz == 14
+        rng = np.random.default_rng(5)
+        n_perm = 20_000
+        for seed in range(30):
+            x, y = rng.normal(size=6), rng.normal(size=6)
+            p_exact, _ = exhaustive_p(x, y, w.to_dense())
+            mc = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
+            se = math.sqrt(p_exact * (1 - p_exact) / n_perm)
+            assert abs(mc.p_value - p_exact) <= 3.0 * se
 
     def test_matches_oracle_on_random_fields(self):
         # every arrangement scored by lees_l gives the oracle's L and p

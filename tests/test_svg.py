@@ -46,6 +46,12 @@ class TestHeatmapSvg:
                              color_ramp_scalar(t)))
         assert rects == expected
 
+    def test_canvas_too_large_to_write_refused(self):
+        h = ps.Heatmap("p", ps.build_grid(2, 2, (0, 0, 1e308, 1)), [1, 0, 0, 0])
+        with pytest.raises(ValueError,
+                           match=r"^heatmap 'p' is too large to draw: field inf by 6\.0$"):
+            heatmap_svg(h)
+
 
 class TestMatrixSvg:
     def test_each_cell_is_filled_with_the_ramp_colour_of_its_value(self):
