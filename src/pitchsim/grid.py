@@ -74,6 +74,17 @@ class PitchGrid:
         return np.column_stack([xs.ravel(), ys.ravel()])
 
 
+def _as_ints(values, what: str) -> np.ndarray:
+    """The integer rule: ints of any width as an array, never cast; anything else is refused."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":  # a bool, float, string, None, or an int past int64 (object)
+        a = np.asarray(values, dtype=object)
+        for v in a.flat:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{what} must be an int, got {v!r}")
+    return a
+
+
 class WeightsMatrix:
     """Binary contiguity weights over ``n`` cells, from ``(i, j)`` neighbour pairs.
 
@@ -82,49 +93,43 @@ class WeightsMatrix:
     intp table whose column ``i`` lists cell ``i``'s neighbours in ascending
     order, padded with ``n``; ``width`` is the largest neighbour count. ``grid``
     is the :class:`PitchGrid` the weights lie on, or None; ``scale`` is Lee's
-    normalizer n / sum_i (sum_j w_ij)^2. ``n`` < 1, a self-pair or an index
-    outside [0, n) raises ``ValueError``, a cell with no neighbour :class:`IsolatedCell`.
+    normalizer n / sum_i (sum_j w_ij)^2. A non-int ``n`` or index, ``n`` < 1, a self-pair or
+    an index outside [0, n) raises ``ValueError``, a cell with no neighbour :class:`IsolatedCell`.
     """
 
     def __init__(self, n: int, pairs, grid=None):
-        if n < 1:
+        n = _as_ints(n, "n")
+        if n.ndim or n < 1:
             raise ValueError(f"weights need n >= 1 cells, got n = {n}")
-        try:
-            p = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        except OverflowError:  # an index intp cannot hold
-            raise ValueError(f"neighbour index outside [0, {n})") from None
+        n = n.item()
+        p = _as_ints(pairs, "neighbour index").reshape(-1, 2)
         same = p[:, 0] == p[:, 1]
         if same.any():
             raise ValueError(f"self-neighbour entry {tuple(p[same.argmax()].tolist())}")
         if p.size and (p.min() < 0 or p.max() >= n):
             raise ValueError(f"neighbour index outside [0, {n})")
+        p = p.astype(np.intp)
+        # a cell in no pair is isolated; k indices touch at most k cells: if n > k, one of 0..k is
+        counts = np.bincount(p.ravel(), minlength=min(n, p.size + 1))
+        if not counts.all():
+            raise IsolatedCell(f"cell {int(np.argmin(counts))} has no neighbours")
         # one key per directed entry, row-major: sorted, they list each row's neighbours in
         # order (a sort and a mask: numpy 2's np.unique hashes first, far slower on these keys)
         keys = np.sort(np.concatenate((p[:, 0] * n + p[:, 1], p[:, 1] * n + p[:, 0])))
         rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)
         counts = np.bincount(rows, minlength=n)
-        if not counts.all():
-            raise IsolatedCell(f"cell {int(np.argmin(counts))} has no neighbours")
         table = np.full((int(counts.max()), n), n, dtype=np.intp)
         # rank of each entry within its row
         table[np.arange(rows.size) - (np.cumsum(counts) - counts)[rows], rows] = cols
         table.flags.writeable = False
-        row_sums = counts.astype(np.float64)
-        row_sums.flags.writeable = False
-        self._table, self._row_sums, self.grid = table, row_sums, grid
-        self.scale = n / float(row_sums @ row_sums)
-
-    @property
-    def n(self) -> int:
-        return self._table.shape[1]
+        self._table, self.grid, self.n = table, grid, n
+        counts = counts.astype(np.float64)
+        self.scale = n / float(counts @ counts)
 
     @property
     def nnz(self) -> int:
+        """Stored entries, each pair counted both ways; perfbench's tracer reads it."""
         return int(np.count_nonzero(self._table != self.n))
-
-    def row_sums(self) -> np.ndarray:
-        """Neighbour count of each cell as float64; a read-only array."""
-        return self._row_sums
 
     def lag(self, values: np.ndarray) -> np.ndarray:
         """Spatial lag: for each cell i, sum_j w_ij * values[j].
@@ -140,12 +145,6 @@ class WeightsMatrix:
         for row in padded[self._table]:
             out += row
         return out
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        dense = np.zeros((n, n + 1))
-        dense[np.arange(n), self._table] = 1.0
-        return dense[:, :n].copy()
 
 
 def build_grid(rows: int, cols: int, extent=DEFAULT_EXTENT) -> PitchGrid:

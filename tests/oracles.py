@@ -144,6 +144,20 @@ def grid_dense_queen(rows: int, cols: int) -> np.ndarray:
     return w
 
 
+def grid_dense(rows: int, cols: int, scheme: str) -> np.ndarray:
+    """``grid_dense_rook`` or ``grid_dense_queen``, by scheme name."""
+    return {"rook": grid_dense_rook, "queen": grid_dense_queen}[scheme](rows, cols)
+
+
+def dense_from_pairs(n: int, pairs) -> np.ndarray:
+    """Binary weights from ``(i, j)`` neighbour pairs, each set both ways, dense."""
+    w = np.zeros((n, n))
+    for i, j in pairs:
+        w[i, j] = 1.0
+        w[j, i] = 1.0
+    return w
+
+
 def sequential_lag(dense, v) -> np.ndarray:
     """W @ v one cell at a time: start at 0.0, add neighbours in ascending index order."""
     n = len(v)

@@ -13,9 +13,8 @@ import pytest
 
 import pitchsim as ps
 from pitchsim.cli import main as cli_main
-from pitchsim.errors import IsolatedCell
 
-from oracles import exhaustive_p, lee_formula, moran_formula
+from oracles import dense_from_pairs, exhaustive_p, grid_dense, lee_formula, moran_formula
 from rosters import (
     FWD_IDX,
     GK_IDX,
@@ -37,13 +36,13 @@ def _verdict(capsys, ok: bool, text: str) -> None:
 
 
 def _random_weights(rng, n):
+    """Weights on random pairs that leave no cell isolated, and the oracle's dense W of them."""
     while True:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < 0.45]
-        try:
-            return ps.WeightsMatrix(n, pairs)
-        except IsolatedCell:
-            continue
+        dense = dense_from_pairs(n, pairs)
+        if dense.any(axis=1).all():
+            return ps.WeightsMatrix(n, pairs), dense
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +61,7 @@ def test_1_statistic_matches_term_by_term_formula(capsys):
     worst = 0.0
     for k in range(200):
         n = (4, 9, 16)[k % 3]
-        w = _random_weights(rng, n)
-        dense = w.to_dense()
+        w, dense = _random_weights(rng, n)
         x = rng.normal(size=n)
         y = rng.normal(size=n)
         got = ps.lees_l(x, y, w)
@@ -81,7 +79,7 @@ def test_1_statistic_matches_term_by_term_formula(capsys):
 def test_2_moran_checkerboard_and_gradients(capsys):
     t0 = time.perf_counter()
     checker = np.array([1.0, -1.0, -1.0, 1.0])
-    exact = moran_formula(checker, ps.adjacency(ps.build_grid(2, 2), "rook").to_dense())
+    exact = moran_formula(checker, grid_dense(2, 2, "rook"))
     min_grad = math.inf
     for rows in range(2, 11):
         for cols in range(2, 11):
@@ -89,11 +87,10 @@ def test_2_moran_checkerboard_and_gradients(capsys):
                 # on the 2x2 lattice rook adjacency is bipartite-complete,
                 # so no field can autocorrelate positively (I <= 0 always)
                 continue
-            grid = ps.build_grid(rows, cols)
-            r, c = np.divmod(np.arange(grid.n), cols)
+            r, c = np.divmod(np.arange(rows * cols), cols)
             ramp = (r + c).astype(float)
             for scheme in ("rook", "queen"):
-                dense = ps.adjacency(grid, scheme).to_dense()
+                dense = grid_dense(rows, cols, scheme)
                 min_grad = min(min_grad, moran_formula(ramp, dense))
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -110,10 +107,10 @@ def test_3_monte_carlo_matches_exhaustive(capsys):
     worst_gap = -math.inf
     for k in range(20):
         n = (4, 5, 6, 7)[k % 4]
-        w = _random_weights(rng, n)
+        w, dense = _random_weights(rng, n)
         x = rng.normal(size=n)
         y = rng.normal(size=n)
-        p_exact, _ = exhaustive_p(x, y, w.to_dense())
+        p_exact, _ = exhaustive_p(x, y, dense)
         mc = ps.permutation_test(x, y, w, n_perm=50000, seed=100 + k)
         se = math.sqrt(p_exact * (1.0 - p_exact) / 50000)
         gap = abs(mc.p_value - p_exact) - 3.0 * se

@@ -91,6 +91,13 @@ def test_number_lists_name_only_public_callables():
     assert NUMERIC.keys() | TAKE_NO_NUMBERS <= set(CALLABLES)
 
 
+def test_weights_show_only_what_lees_l_reads():
+    # the dense matrix and the row sums are test views: tests/oracles.py builds them
+    w = pitchsim.WeightsMatrix(2, [(0, 1)])
+    assert sorted(a for a in dir(w) if not a.startswith("_")) == ["grid", "lag", "n", "nnz",
+                                                                  "scale"]
+
+
 def test_dir_lists_every_name():
     assert {name for name, _ in HOMES} | PUBLIC.keys() <= set(dir(pitchsim))
     assert "__version__" in dir(pitchsim)

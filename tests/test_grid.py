@@ -1,5 +1,6 @@
 """Lattice construction and contiguity weights."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -9,9 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pitchsim as ps
-from pitchsim.errors import InvalidDimension
+from pitchsim.errors import InvalidDimension, IsolatedCell
 
-from oracles import grid_dense_queen, grid_dense_rook, sequential_lag
+from oracles import dense_from_pairs, grid_dense, sequential_lag
+
+
+def _through_lag(w) -> np.ndarray:
+    """W column by column through the public lag: ``w.lag(e_j)`` is column j, exactly."""
+    return np.column_stack([w.lag(e) for e in np.eye(w.n)])
 
 
 class TestBuildGrid:
@@ -92,25 +98,26 @@ class TestAdjacency:
     def test_2x2_rook_four_pairs_degree_two(self):
         w = ps.adjacency(ps.build_grid(2, 2), "rook")
         assert w.nnz // 2 == 4
-        assert np.all(w.row_sums() == 2.0)
+        assert np.all(w.lag(np.ones(4)) == 2.0)
 
     def test_2x2_queen_all_mutually_adjacent(self):
         w = ps.adjacency(ps.build_grid(2, 2), "queen")
         assert w.nnz // 2 == 6
-        assert np.all(w.row_sums() == 3.0)
+        assert np.all(w.lag(np.ones(4)) == 3.0)
 
     def test_3x3_rook_enumeration(self):
         w = ps.adjacency(ps.build_grid(3, 3), "rook")
         assert w.nnz // 2 == 12
         # center cell has all four edge neighbours
-        assert w.row_sums()[4] == 4.0
+        assert w.lag(np.ones(9))[4] == 4.0
 
     @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 5), (3, 3), (4, 7), (6, 6),
                                            (2, 9), (9, 2), (30, 45)])
     def test_matches_dense_oracle(self, rows, cols):
         g = ps.build_grid(rows, cols)
-        assert np.array_equal(ps.adjacency(g, "rook").to_dense(), grid_dense_rook(rows, cols))
-        assert np.array_equal(ps.adjacency(g, "queen").to_dense(), grid_dense_queen(rows, cols))
+        for scheme in ("rook", "queen"):
+            w = ps.adjacency(g, scheme)
+            assert np.array_equal(_through_lag(w), grid_dense(rows, cols, scheme))
 
     @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (7, 4), (10, 10)])
     def test_pair_count_formulas(self, rows, cols):
@@ -123,14 +130,14 @@ class TestAdjacency:
     @pytest.mark.parametrize("scheme", ["rook", "queen"])
     def test_symmetric_zero_diagonal(self, scheme):
         w = ps.adjacency(ps.build_grid(4, 5), scheme)
-        dense = w.to_dense()
+        dense = _through_lag(w)
         assert np.array_equal(dense, dense.T)
         assert np.all(np.diag(dense) == 0.0)
 
     def test_rook_subset_of_queen(self):
         g = ps.build_grid(5, 6)
-        rook = ps.adjacency(g, "rook").to_dense()
-        queen = ps.adjacency(g, "queen").to_dense()
+        rook = _through_lag(ps.adjacency(g, "rook"))
+        queen = _through_lag(ps.adjacency(g, "queen"))
         assert np.all(queen[rook == 1.0] == 1.0)
 
     def test_large_grid_builds_no_dense_matrix(self):
@@ -158,25 +165,62 @@ class TestAdjacency:
 
 
 class TestWeightsMatrix:
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, -10**30, [3]])
     def test_no_cells_refused_without_warning(self, n):
+        # one int n, the int rule's ints past int64 included; a list of one is not one
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=rf"^weights need n >= 1 cells, got n = {n}$"):
+            with pytest.raises(ValueError,
+                               match=f"^weights need n >= 1 cells, got n = {re.escape(str(n))}$"):
                 ps.WeightsMatrix(n, [])
 
     def test_duplicate_pairs_collapse_to_one(self):
         w = ps.WeightsMatrix(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
-        assert np.array_equal(w.to_dense(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert np.array_equal(_through_lag(w), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_rejects_self_pair(self):
         with pytest.raises(ValueError):
             ps.WeightsMatrix(3, [(1, 1)])
 
     def test_rejects_pair_outside_lattice(self):
-        for pair in ((0, 3), (-1, 2), (0, 10**30), (-10**30, 1), (0, 2**64)):
+        for pair in ((0, 3), (-1, 2), (0, 10**30), (-10**30, 1), (0, 2**63), (0, 2**64)):
             with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
                 ps.WeightsMatrix(3, [(0, 1), pair])
+
+    @pytest.mark.parametrize("n, pairs, message", [
+        (2, [(0.9, 1.7)], "neighbour index must be an int, got 0.9"),
+        # a float array is refused before numpy casts its NaN
+        (3, np.array([[0, 1.0], [1, np.nan]]), "neighbour index must be an int, got 0.0"),
+        (2, [("0", "1")], "neighbour index must be an int, got '0'"),
+        (2, [(False, True)], "neighbour index must be an int, got False"),
+        (2, [(0, None)], "neighbour index must be an int, got None"),
+        (2.5, [(0, 1)], "n must be an int, got 2.5"),
+        (True, [(0, 1)], "n must be an int, got True"),
+    ])
+    def test_what_is_not_an_int_refused_without_warning(self, n, pairs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ps.WeightsMatrix(n, pairs)
+
+    @pytest.mark.parametrize("n, pairs, cell", [
+        (10**30, [(0, 1)], 2), (2**62, [(0, 1), (2, 3)], 4), (3, [], 0),
+        (3, np.empty((0, 2)), 0),
+    ])
+    def test_n_past_the_pairs_is_an_isolated_cell(self, n, pairs, cell):
+        # k pairs touch at most 2k cells: one of the first 2k + 1 has no neighbour,
+        # whatever n is, so no n is counted cell by cell to find it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IsolatedCell, match=f"^cell {cell} has no neighbours$"):
+                ps.WeightsMatrix(n, pairs)
+
+    def test_numpy_ints_of_any_width_build_the_same_weights(self):
+        pairs = [(0, 1), (1, 2)]
+        w = ps.WeightsMatrix(np.uint8(3), np.array(pairs, dtype=np.int8))
+        assert type(w.n) is int and w.n == 3
+        assert np.array_equal(_through_lag(w), dense_from_pairs(3, pairs))
+        assert w.scale == ps.WeightsMatrix(3, pairs).scale
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(n=st.integers(0, 6), data=st.data())
@@ -189,20 +233,18 @@ class TestWeightsMatrix:
             index = st.integers(-1, n)
             pairs[data.draw(st.integers(0, len(pairs) - 1))] = data.draw(st.tuples(index, index))
         valid = n >= 1 and all(0 <= i < n and 0 <= j < n and i != j for i, j in pairs)
-        dense = np.zeros((max(n, 0), max(n, 0)))
-        if valid:
-            for i, j in pairs:
-                dense[i, j] = dense[j, i] = 1.0
+        dense = dense_from_pairs(n, pairs) if valid else None
         try:
             w = ps.WeightsMatrix(n, pairs)
         except ValueError:
             assert not (valid and dense.any(axis=1).all())
             return
         assert valid
-        assert np.array_equal(w.to_dense(), dense)
+        # W through the lag alone: its columns, and its row sums as the lag of ones
+        assert np.array_equal(_through_lag(w), dense)
         assert not np.diag(dense).any() and dense.any(axis=1).all()
         rs = dense.sum(axis=1)
-        assert np.array_equal(w.row_sums(), rs) and w.nnz == rs.sum()
+        assert np.array_equal(w.lag(np.ones(n)), rs) and w.nnz == rs.sum()
         assert w.scale == n / float(rs @ rs)
         # the same pairs in another order, some of them turned round
         flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
@@ -222,7 +264,7 @@ class TestWeightsMatrix:
         v = np.random.default_rng(0).normal(size=12)
         for scheme in ("rook", "queen"):
             w = ps.adjacency(ps.build_grid(3, 4), scheme)
-            assert np.allclose(w.lag(v), w.to_dense().T @ v, rtol=1e-14, atol=0.0)
+            assert np.allclose(w.lag(v), grid_dense(3, 4, scheme).T @ v, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("rows,cols", [(2, 2), (3, 5), (7, 11), (14, 20),
                                            (2, 9), (9, 2), (30, 45)])
@@ -231,7 +273,7 @@ class TestWeightsMatrix:
         # every output byte rests on this summation order
         g = ps.build_grid(rows, cols)
         w = ps.adjacency(g, scheme)
-        dense = w.to_dense()
+        dense = grid_dense(rows, cols, scheme)
         rng = np.random.default_rng(rows * cols)
         for _ in range(5):
             v = rng.choice([-1.0, 1.0], g.n) * 10.0 ** rng.uniform(-8, 8, g.n)

@@ -12,6 +12,7 @@ import io
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,8 @@ from pitchsim.svg import bar_chart_svg, matrix_svg
 EXTREMES = [10**400, -10**400, math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
             1.7e308, -1.7e308, 2**64]
 NUMBER = st.sampled_from(EXTREMES) | st.sampled_from([0.25, 1.0, 2.0, 60.0])
+# cell counts and neighbour indices: ints, some of them valid, and a bool
+INDEX = st.sampled_from([-1, 0, 1, 2, 3, 2**63, True])
 
 GRID = ps.build_grid(2, 2)
 W = ps.adjacency(GRID, "rook")
@@ -66,7 +69,8 @@ NUMERIC = {
     "Dendrogram": _dendrogram,
     "Heatmap": lambda draw: ps.Heatmap("p", GRID, _numbers(draw, 4)),
     "PitchGrid": lambda draw: ps.PitchGrid(2, 2, _extent(draw)),
-    "WeightsMatrix": lambda draw: ps.WeightsMatrix(2, [tuple(_numbers(draw, 2))]),
+    "WeightsMatrix": lambda draw: ps.WeightsMatrix(
+        draw(NUMBER | INDEX), [tuple(draw(st.lists(NUMBER | INDEX, min_size=2, max_size=2)))]),
     "build_grid": lambda draw: ps.build_grid(2, 2, _extent(draw)),
     "complete_linkage": lambda draw: ps.complete_linkage(_distances(draw), ["a", "b", "c"]),
     "cut": lambda draw: ps.cut(_dendrogram(draw), draw(NUMBER)),
@@ -127,3 +131,23 @@ def test_int_too_large_for_float64_is_refused_naming_the_argument(message):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{message} a number too large for float64$"):
             OVERFLOWS[message]()
+
+
+# a WeightsMatrix call whose n or neighbour index is not an int, or whose n is past
+# intp: each is refused, where numpy would round, parse or cast it, warn or overflow
+NOT_INTS = {
+    "float index": lambda: ps.WeightsMatrix(2, [(0.9, 1.7)]),
+    "NaN in a float array": lambda: ps.WeightsMatrix(3, np.array([[0, 1.0], [1, np.nan]])),
+    "string index": lambda: ps.WeightsMatrix(2, [("0", "1")]),
+    "bool index": lambda: ps.WeightsMatrix(2, [(False, True)]),
+    "float n": lambda: ps.WeightsMatrix(2.5, [(0, 1)]),
+    "n past intp": lambda: ps.WeightsMatrix(10**30, [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTS)
+def test_weights_refuse_what_is_not_an_int_with_value_error(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            NOT_INTS[case]()

@@ -21,7 +21,7 @@ import pitchsim as ps
 from pitchsim import roster
 from pitchsim.errors import GridMismatch, InsufficientPermutations, ZeroVariance
 
-from oracles import lee_formula
+from oracles import grid_dense_queen, lee_formula
 from rosters import (
     FWD_IDX,
     GK_IDX,
@@ -272,7 +272,7 @@ class TestMatrixStructure:
         off = [(i, j) for i in range(3) for j in range(3) if i < j]
         assert all(m.pseudo_distance[i, j] >= 0.9 for i, j in off)
         assert all(m.statistic[i, j] < 0.0 for i, j in off)
-        want = lee_formula(trio[0].cells, trio[1].cells, weights.to_dense())
+        want = lee_formula(trio[0].cells, trio[1].cells, grid_dense_queen(grid.rows, grid.cols))
         assert m.statistic[0, 1] == pytest.approx(want, rel=1e-12)
 
     def test_nearest_neighbour_is_stable_under_input_order(self, grid, weights):
@@ -311,7 +311,7 @@ class TestValidation:
         # have the heatmaps' cell count
         for w in (ps.adjacency(ps.build_grid(7, 10), "queen"),
                   ps.adjacency(ps.build_grid(grid.cols, grid.rows), "rook"),
-                  ps.WeightsMatrix(grid.n, np.argwhere(weights.to_dense()))):
+                  ps.WeightsMatrix(grid.n, np.argwhere(grid_dense_queen(grid.rows, grid.cols)))):
             with pytest.raises(GridMismatch, match="weights"):
                 ps.compute_matrix([a, b], w, n_perm=9)
 
@@ -405,7 +405,7 @@ class TestPairTestValidation:
         elif case == "weights of the transposed grid":
             w = ps.adjacency(ps.build_grid(grid.cols, grid.rows), "queen")
         elif case == "weights from pairs":
-            w = ps.WeightsMatrix(grid.n, np.argwhere(weights.to_dense()))
+            w = ps.WeightsMatrix(grid.n, np.argwhere(grid_dense_queen(grid.rows, grid.cols)))
         elif case == "unnormalized":
             b = ps.rasterize([(60.0, 60.0, 1.0)], grid, 5.0, player_id="b")
         elif case == "shared id":

@@ -13,7 +13,9 @@ from pitchsim import stats
 from pitchsim.errors import InsufficientPermutations, IsolatedCell, ZeroVariance
 
 from oracles import (
+    dense_from_pairs,
     exhaustive_p,
+    grid_dense,
     indexed_stream_scores,
     lee_batch_dense,
     lee_formula,
@@ -62,23 +64,23 @@ def _tie_tolerant_p(scores):
 
 
 class TestMoransI:
-    """Moran's I by the term-by-term reference on the package's weights.
+    """Moran's I by the term-by-term reference on the oracle's weights.
 
     Acceptance test 2 computes Moran's I as ``moran_formula`` of
-    ``adjacency(...).to_dense()``, so these pin that reference on fields with
-    known answers and check the package's lag against its double sum.
+    ``grid_dense(...)``, so these pin that reference on fields with known
+    answers and check the package's lag against its double sum.
     """
 
     def test_checkerboard_is_minus_one(self):
-        assert moran_formula(CHECKER_2X2, _rook(2, 2).to_dense()) == -1.0
+        assert moran_formula(CHECKER_2X2, grid_dense(2, 2, "rook")) == -1.0
 
     def test_row_gradient_is_half(self):
         x = np.repeat([0.0, 1.0, 2.0], 3)
-        assert moran_formula(x, _rook(3, 3).to_dense()) == 0.5
+        assert moran_formula(x, grid_dense(3, 3, "rook")) == 0.5
 
     @pytest.mark.parametrize("rows,cols", [(4, 4), (4, 6), (6, 6)])
     def test_checkerboard_negative_split_positive(self, rows, cols):
-        dense = _rook(rows, cols).to_dense()
+        dense = grid_dense(rows, cols, "rook")
         assert moran_formula(_checkerboard(rows, cols), dense) < 0.0
         r, c = np.divmod(np.arange(rows * cols), cols)
         split = np.where(c < cols // 2, 0.0, 1.0)
@@ -89,7 +91,7 @@ class TestMoransI:
         rng = np.random.default_rng(5)
         for rows, cols, scheme in ((2, 2, "rook"), (3, 4, "queen"), (4, 4, "rook")):
             w = ps.adjacency(ps.build_grid(rows, cols), scheme)
-            dense = w.to_dense()
+            dense = grid_dense(rows, cols, scheme)
             for _ in range(10):
                 x = rng.normal(size=w.n)
                 xc = x - x.mean()
@@ -97,13 +99,13 @@ class TestMoransI:
                 assert got == pytest.approx(moran_formula(x, dense), rel=1e-12)
 
     def test_matches_oracle_on_random_weights(self):
-        # non-lattice weights from pairs: lag, nnz and to_dense agree
+        # non-lattice weights from pairs: lag and nnz agree with the oracle's dense W
         rng = np.random.default_rng(9)
         for n in (3, 5, 8):
             pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
             pairs |= {(i, i + 1) for i in range(n - 1)}  # no isolated cell
             w = ps.WeightsMatrix(n, sorted(pairs))
-            dense = w.to_dense()
+            dense = dense_from_pairs(n, pairs)
             assert w.nnz == 2 * len(pairs) == dense.sum()
             x = rng.normal(size=n)
             xc = x - x.mean()
@@ -114,7 +116,7 @@ class TestMoransI:
         # Moran's I divides by zero; the package refuses the field first
         w = _rook(2, 2)
         with pytest.raises(ZeroDivisionError):
-            moran_formula(np.ones(4), w.to_dense())
+            moran_formula(np.ones(4), grid_dense(2, 2, "rook"))
         with pytest.raises(ZeroVariance):
             ps.prepare_cells(np.ones(4), w)
 
@@ -130,7 +132,7 @@ class TestLeesL:
     def test_checkerboard_pair_is_minus_one(self):
         w = _rook(2, 2)
         assert ps.lees_l(CHECKER_2X2, -CHECKER_2X2, w) == -1.0
-        assert lee_formula(CHECKER_2X2, -CHECKER_2X2, w.to_dense()) == -1.0
+        assert lee_formula(CHECKER_2X2, -CHECKER_2X2, grid_dense(2, 2, "rook")) == -1.0
 
     def test_self_similarity_of_checkerboard_is_one(self):
         assert ps.lees_l(CHECKER_2X2, CHECKER_2X2, _rook(2, 2)) == 1.0
@@ -145,7 +147,7 @@ class TestLeesL:
         for rows, cols, scheme in ((2, 2, "rook"), (2, 3, "queen"),
                                    (3, 3, "rook"), (4, 5, "queen")):
             w = ps.adjacency(ps.build_grid(rows, cols), scheme)
-            dense = w.to_dense()
+            dense = grid_dense(rows, cols, scheme)
             for _ in range(12):
                 x = rng.normal(size=w.n)
                 y = rng.normal(size=w.n)
@@ -239,7 +241,7 @@ class TestPermutationTest:
         perms = np.tile(np.arange(16), (n_perm + 1, 1))
         gen = np.random.Generator(np.random.Philox(key=seed))
         gen.permuted(perms[1:], axis=1, out=perms[1:])
-        sims = lee_batch_dense(x, y[perms[1:]], w.to_dense())
+        sims = lee_batch_dense(x, y[perms[1:]], grid_dense(4, 4, "queen"))
         tol = 1e-9 * (1.0 + abs(res.statistic))
         at_least = int(np.count_nonzero(sims > res.statistic + tol))
         at_most = int(np.count_nonzero(sims >= res.statistic - tol))
@@ -259,7 +261,7 @@ class TestPermutationTest:
         perms = np.tile(np.arange(16), (n_perm + 1, 1))
         gen = np.random.Generator(np.random.Philox(key=seed))
         gen.permuted(perms[1:], axis=1, out=perms[1:])
-        sims = lee_batch_dense(x, y[perms[1:]], w.to_dense())
+        sims = lee_batch_dense(x, y[perms[1:]], grid_dense(4, 4, "queen"))
         tol = 1e-9 * (1.0 + abs(res.statistic))
         at_least = int(np.count_nonzero(sims > res.statistic + tol))
         at_most = int(np.count_nonzero(sims >= res.statistic - tol))
@@ -320,7 +322,7 @@ class TestPermutationTest:
         y = rng.normal(size=9)
         n_perm = math.factorial(9)  # every arrangement, expected once each
         res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=7)
-        p_exact, _ = exhaustive_p(x, y, w.to_dense())
+        p_exact, _ = exhaustive_p(x, y, grid_dense(3, 3, "rook"))
         se = math.sqrt(p_exact * (1.0 - p_exact) / n_perm)
         assert abs(res.p_value - p_exact) <= 3.0 * se
 
@@ -467,10 +469,11 @@ class TestPermutationMoments:
         rng = np.random.default_rng(rows * cols)
         x, y = rng.random(w.n), rng.random(w.n)
         perms = np.array(list(permutations(range(w.n))))
-        sims = lee_batch_dense(x, y[perms], w.to_dense())
+        dense = grid_dense(rows, cols, scheme)
+        sims = lee_batch_dense(x, y[perms], dense)
         var = float(sims.var())
         assert abs(float(sims.mean())) <= 1e-12 * math.sqrt(var)
-        assert var == pytest.approx(_permutation_variance(x, y, w.to_dense()), rel=1e-12)
+        assert var == pytest.approx(_permutation_variance(x, y, dense), rel=1e-12)
         # z does not depend on the draws: one is enough
         res = ps.permutation_test(x, y, w, n_perm=1)
         assert res.z_score == pytest.approx(res.statistic / math.sqrt(var), rel=1e-12)
@@ -490,9 +493,10 @@ class TestPermutationMoments:
         perms = np.tile(np.arange(w.n), (n_perm, 1))
         gen = np.random.Generator(np.random.Philox(key=seed))
         gen.permuted(perms, axis=1, out=perms)
-        sims = lee_batch_dense(x, y[perms], w.to_dense())
+        dense = grid_dense(rows, cols, scheme)
+        sims = lee_batch_dense(x, y[perms], dense)
 
-        sigma2 = _permutation_variance(x, y, w.to_dense())
+        sigma2 = _permutation_variance(x, y, dense)
         assert abs(float(sims.mean())) <= 4.0 * math.sqrt(sigma2 / n_perm)
         # the mean is known to be 0, so the variance is estimated as mean L^2
         var = float(np.mean(sims ** 2))
@@ -534,7 +538,7 @@ class TestPreparedCells:
         scores = [ps.lees_l(px, ps.prepare_cells(y[list(p)], w, "y"), w)
                   for p in permutations(range(6))]
         assert scores == _every_arrangement_scored(x, y, w)
-        assert _tie_tolerant_p(scores) == exhaustive_p(x, y, w.to_dense())[0]
+        assert _tie_tolerant_p(scores) == exhaustive_p(x, y, grid_dense(2, 3, "queen"))[0]
 
     def test_record_holds_the_centered_cells_and_their_lags(self):
         w = _queen(4, 5)
@@ -556,8 +560,8 @@ class TestPreparedCells:
         w = ps.adjacency(ps.build_grid(6, 9), scheme)
         rng = np.random.default_rng(5)
         n_perm = 60
-        row_sums = w.row_sums()
-        scale = w.n / float(row_sums @ row_sums)
+        rs = grid_dense(6, 9, scheme).sum(axis=1)
+        scale = w.n / float(rs @ rs)
         for seed in range(30):
             x, y = rng.random(w.n), rng.random(w.n)
             xc, yc = x - x.mean(), y - y.mean()
@@ -630,9 +634,10 @@ class TestExactPermutationTest:
 
     def test_two_cells(self):
         w = ps.WeightsMatrix(2, [(0, 1)])
+        dense = dense_from_pairs(2, [(0, 1)])
         x = np.array([0.0, 1.0])
-        assert exhaustive_p(x, x, w.to_dense()) == (0.5, pytest.approx(1.0, rel=1e-12))
-        assert exhaustive_p(x, x[::-1], w.to_dense()) == (1.0, pytest.approx(-1.0, rel=1e-12))
+        assert exhaustive_p(x, x, dense) == (0.5, pytest.approx(1.0, rel=1e-12))
+        assert exhaustive_p(x, x[::-1], dense) == (1.0, pytest.approx(-1.0, rel=1e-12))
         # every relabeling of the flipped field is at or above its L = -1
         flipped = ps.permutation_test(x, x[::-1], w, n_perm=9, seed=2)
         assert (flipped.n_ge, flipped.p_value) == (9, 1.0)
@@ -644,7 +649,7 @@ class TestExactPermutationTest:
         # a relabeling that keeps each cell in its colour class reproduces
         # the observed L = 1 exactly: 2 * 2 of the 24 arrangements
         w = _rook(2, 2)
-        assert exhaustive_p(CHECKER_2X2, CHECKER_2X2, w.to_dense()) == (4 / 24, 1.0)
+        assert exhaustive_p(CHECKER_2X2, CHECKER_2X2, grid_dense(2, 2, "rook")) == (4 / 24, 1.0)
         n_perm, seed = 300, 4
         res = ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=n_perm, seed=seed)
         assert res.statistic == 1.0
@@ -659,7 +664,8 @@ class TestExactPermutationTest:
         w = _rook(2, 2)
         x = np.array([0.3, 0.1, 0.7, 0.2])
         y = np.array([0.1, 0.2, 0.2, 0.4])  # mirror-symmetric about the 0-3 diagonal
-        p_oracle, _ = exhaustive_p(x, y, w.to_dense())
+        dense = grid_dense(2, 2, "rook")
+        p_oracle, _ = exhaustive_p(x, y, dense)
         assert round(p_oracle * 24) % 4 == 0
 
         # Monte Carlo: rank each regenerated relabeling in exact rational
@@ -668,7 +674,6 @@ class TestExactPermutationTest:
         n_perm, seed = 300, 8
         res = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
         perms = _philox_perms(4, n_perm, seed)
-        dense = w.to_dense()
         xf = [Fraction(v) for v in x]
         xs = [4 * v - sum(xf) for v in xf]
         lag_x = [sum(Fraction(dense[i, j]) * xs[j] for j in range(4)) for i in range(4)]
@@ -685,7 +690,7 @@ class TestExactPermutationTest:
 
     def test_monte_carlo_converges_to_exact(self):
         w = _rook(2, 2)
-        p_exact, _ = exhaustive_p(CHECKER_2X2, CHECKER_2X2, w.to_dense())
+        p_exact, _ = exhaustive_p(CHECKER_2X2, CHECKER_2X2, grid_dense(2, 2, "rook"))
         mc = ps.permutation_test(CHECKER_2X2, CHECKER_2X2, w, n_perm=10000, seed=3)
         se = math.sqrt(p_exact * (1 - p_exact) / 10000)
         assert abs(mc.p_value - p_exact) <= 3.0 * se
@@ -693,13 +698,17 @@ class TestExactPermutationTest:
     def test_one_way_pairs_give_the_exact_p(self):
         # pairs listed one way only still build symmetric weights, on which
         # the kernel's W W xc is Lee's L: the Monte Carlo p is the exact one
-        w = ps.WeightsMatrix(6, list(zip([0, 0, 1, 2, 3, 3, 4, 5], [1, 2, 2, 0, 0, 1, 3, 4])))
-        assert np.array_equal(w.to_dense(), w.to_dense().T) and w.nnz == 14
+        pairs = list(zip([0, 0, 1, 2, 3, 3, 4, 5], [1, 2, 2, 0, 0, 1, 3, 4]))
+        w = ps.WeightsMatrix(6, pairs)
+        dense = dense_from_pairs(6, pairs)
+        # lag(e_j) is column j of the stored W: every pair is held both ways
+        assert np.array_equal(np.column_stack([w.lag(e) for e in np.eye(6)]), dense)
+        assert w.nnz == 14
         rng = np.random.default_rng(5)
         n_perm = 20_000
         for seed in range(30):
             x, y = rng.normal(size=6), rng.normal(size=6)
-            p_exact, _ = exhaustive_p(x, y, w.to_dense())
+            p_exact, _ = exhaustive_p(x, y, dense)
             mc = ps.permutation_test(x, y, w, n_perm=n_perm, seed=seed)
             se = math.sqrt(p_exact * (1 - p_exact) / n_perm)
             assert abs(mc.p_value - p_exact) <= 3.0 * se
@@ -707,12 +716,13 @@ class TestExactPermutationTest:
     def test_matches_oracle_on_random_fields(self):
         # every arrangement scored by lees_l gives the oracle's L and p
         rng = np.random.default_rng(0)
-        w4, w6 = _rook(2, 2), _queen(2, 3)
+        cases = ((_rook(2, 2), grid_dense(2, 2, "rook")),
+                 (_queen(2, 3), grid_dense(2, 3, "queen")))
         for _ in range(4):
-            for w in (w4, w6):
+            for w, dense in cases:
                 x = rng.normal(size=w.n)
                 y = rng.normal(size=w.n)
                 scores = _every_arrangement_scored(x, y, w)
-                p_oracle, l_oracle = exhaustive_p(x, y, w.to_dense())
+                p_oracle, l_oracle = exhaustive_p(x, y, dense)
                 assert _tie_tolerant_p(scores) == p_oracle
                 assert scores[0] == pytest.approx(l_oracle, rel=1e-12)
