@@ -26,7 +26,7 @@ class Dendrogram:
     """Merge tree over the players ``ids``, all distinct and at least one.
 
     Leaf i is ``ids[i]``; the t-th merge creates internal node k+t.
-    Complete linkage guarantees non-decreasing merge heights.
+    Complete linkage guarantees non-decreasing merge heights; a NaN one is refused.
     """
 
     ids: tuple[str, ...]
@@ -45,6 +45,8 @@ class Dendrogram:
             )
         seen = set()
         heights = [m.height for m in self.merges]
+        if any(h != h for h in heights):  # NaN is the one number unequal to itself
+            raise NaNInput("merge heights must not be NaN")
         if any(b < a for a, b in zip(heights, heights[1:])):
             raise ValueError("merge heights must be non-decreasing")
         for t, m in enumerate(self.merges):

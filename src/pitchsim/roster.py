@@ -29,12 +29,15 @@ __all__ = list(_HOMES["roster"])
 
 @dataclass(frozen=True)
 class RosterMatrix:
-    """All-pairs test results for a roster.
+    """All-pairs test results for a roster, checked once, when it is built.
 
-    ``pseudo_distance`` holds the one-sided permutation p-values (symmetric,
-    diagonal = self-test, entries in (0, 1]); ``statistic`` the observed
-    Lee's L values. The p-value is a pseudo-distance only: the triangle
-    inequality is not guaranteed.
+    ``player_ids`` is kept as a tuple of distinct ids, one per row. ``pseudo_distance`` holds
+    the one-sided permutation p-values, each in (0, 1], self-tests on the diagonal, and
+    ``statistic`` the observed Lee's L values: both as read-only float64 ``(k, k)`` copies,
+    finite and symmetric. ``n_perm`` and ``master_seed`` are kept as ints under their rules
+    (``TypeError`` if not ints). Anything else raises ``ValueError``, so the writers take the
+    record as it is. The p-value is a pseudo-distance only: the triangle inequality is not
+    guaranteed.
     """
 
     player_ids: tuple[str, ...]
@@ -42,6 +45,24 @@ class RosterMatrix:
     statistic: np.ndarray
     n_perm: int
     master_seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "player_ids", tuple(self.player_ids))
+        k = len(self.player_ids)
+        if len(set(self.player_ids)) != k:
+            raise ValueError("player ids must be distinct")
+        for field in ("pseudo_distance", "statistic"):
+            a = as_float64(getattr(self, field), field).copy()
+            if a.shape != (k, k) or not (np.isfinite(a).all() and np.array_equal(a, a.T)):
+                raise ValueError(f"{field} must be {k}x{k}, finite and symmetric")
+            a.flags.writeable = False
+            object.__setattr__(self, field, a)
+        if not ((self.pseudo_distance > 0) & (self.pseudo_distance <= 1)).all():
+            raise ValueError("p-values must be in (0, 1]")
+        check_n_perm(self.n_perm)
+        check_seed(self.master_seed, "master seed")
+        object.__setattr__(self, "n_perm", operator.index(self.n_perm))
+        object.__setattr__(self, "master_seed", operator.index(self.master_seed))
 
 
 def check_roster(heatmaps, w: WeightsMatrix) -> list[tuple[str, PreparedCells]]:
@@ -54,6 +75,8 @@ def check_roster(heatmaps, w: WeightsMatrix) -> list[tuple[str, PreparedCells]]:
             if cells.w is not w:
                 raise ValueError(f"player {pid!r} was prepared on other weights")
         return list(heatmaps)
+    if any(isinstance(p, tuple) for p in heatmaps):
+        raise ValueError("a roster is all heatmaps or all prepared players, not a mix")
     return _prepare(heatmaps, w)
 
 
@@ -172,8 +195,8 @@ def compute_matrix(
     InsufficientPermutations
         If ``n_perm`` < 1, before any player is prepared or pool started.
     ValueError
-        If fewer than 2 heatmaps, two heatmaps share a player id, any
-        heatmap is not normalized, a player was prepared on other weights,
+        If fewer than 2 heatmaps, two heatmaps share a player id, any heatmap is not
+        normalized, a player was prepared on other weights or is mixed with heatmaps,
         ``master_seed`` is outside [0, 2**64), or ``workers`` is below 1.
     """
     check_seed(master_seed, "master seed")
@@ -192,24 +215,15 @@ def compute_matrix(
         player_ids=tuple(pid for pid, _ in players),
         pseudo_distance=pmat,
         statistic=lmat,
-        n_perm=operator.index(n_perm),
-        master_seed=operator.index(master_seed),
+        n_perm=n_perm,
+        master_seed=master_seed,
     )
 
 
 def matrix_to_json(m: RosterMatrix) -> dict:
-    """The roster matrix as a JSON-ready document.
-
-    Raises
-    ------
-    ValueError
-        If a p or L value is not finite: JSON has no NaN or infinity.
-    """
-    p, lee = as_float64(m.pseudo_distance, "pseudo_distance"), as_float64(m.statistic, "statistic")
-    if not (np.isfinite(p).all() and np.isfinite(lee).all()):
-        raise ValueError("p and L values must be finite for JSON export")
-    return {"player_ids": list(m.player_ids), "n_perm": m.n_perm,
-            "master_seed": m.master_seed, "p": p.tolist(), "l": lee.tolist()}
+    """The roster matrix as a JSON-ready document; its values are finite, as JSON needs."""
+    return {"player_ids": list(m.player_ids), "n_perm": m.n_perm, "master_seed": m.master_seed,
+            "p": m.pseudo_distance.tolist(), "l": m.statistic.tolist()}
 
 
 def pairs_to_csv(m: RosterMatrix) -> str:
@@ -218,8 +232,7 @@ def pairs_to_csv(m: RosterMatrix) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["player_a", "player_b", "lee_l", "p_value"])
     ids = m.player_ids
-    lmat = as_float64(m.statistic, "statistic").tolist()
-    pmat = as_float64(m.pseudo_distance, "pseudo_distance").tolist()
+    lmat, pmat = m.statistic.tolist(), m.pseudo_distance.tolist()
     for i, a in enumerate(ids):
         writer.writerows(zip(repeat(a), ids[i:], map(repr, lmat[i][i:]), map(repr, pmat[i][i:])))
     return buf.getvalue()

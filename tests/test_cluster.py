@@ -447,6 +447,15 @@ class TestDendrogramValidation:
             ps.Dendrogram(("a", "b", "c"),
                           (ps.Merge(0, 1, 0.1), ps.Merge(0, 2, 0.2)))
 
+    @pytest.mark.parametrize("merges", [
+        # a NaN compares false with every cut height, so cut() would merge it below each
+        (ps.Merge(0, 1, math.nan), ps.Merge(2, 3, 0.9)),
+        (ps.Merge(0, 1, 0.1), ps.Merge(2, 3, math.nan)),
+    ])
+    def test_nan_height_rejected(self, merges):
+        with pytest.raises(NaNInput, match="^merge heights must not be NaN$"):
+            ps.Dendrogram(("a", "b", "c"), merges)
+
 
 class TestSerialization:
     def test_merges_json_structure(self, five_matrix):

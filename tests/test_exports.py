@@ -69,11 +69,12 @@ def test_every_error_is_a_value_error(name):
 # public callables that take no numbers of the caller's: the errors take a message,
 # the functions ids, text, a scheme, int counts and seeds (refused with TypeError when
 # not ints) or records whose numbers were checked when they were built; the records
-# below store their fields as given, and each function that reads their numbers is in
-# test_refusals.NUMERIC
+# below (DropCounts, Merge, PreparedCells, TestResult) keep their fields as given, and
+# each function that reads their numbers is in test_refusals.NUMERIC. Dendrogram and
+# RosterMatrix check the numbers they are given, so they are there too
 TAKE_NO_NUMBERS = {
     *PUBLIC["errors"],
-    "DropCounts", "Merge", "PreparedCells", "RosterMatrix", "TestResult",
+    "DropCounts", "Merge", "PreparedCells", "TestResult",
     "adjacency", "clusters_to_csv", "compute_matrix", "heatmap_to_json", "normalize",
     "pair_seed", "pair_test", "svg.heatmap_svg",
 }

@@ -62,13 +62,14 @@ def _roster_matrix(draw) -> ps.RosterMatrix:
                            [[1.0, lee[0]], [lee[0], lee[1]]], 9, 0)
 
 
-# public name -> one call of it, its numbers drawn by ``draw``; a record that
-# stores the numbers it is given (Dendrogram, RosterMatrix) reaches the
-# functions that read it with them as drawn
+# public name -> one call of it, its numbers drawn by ``draw``; a record
+# (Dendrogram, RosterMatrix) checks the numbers it is given when it is built,
+# and reaches the functions that read it with the ones it keeps
 NUMERIC = {
     "Dendrogram": _dendrogram,
     "Heatmap": lambda draw: ps.Heatmap("p", GRID, _numbers(draw, 4)),
     "PitchGrid": lambda draw: ps.PitchGrid(2, 2, _extent(draw)),
+    "RosterMatrix": _roster_matrix,
     "WeightsMatrix": lambda draw: ps.WeightsMatrix(
         draw(NUMBER | INDEX), [tuple(draw(st.lists(NUMBER | INDEX, min_size=2, max_size=2)))]),
     "build_grid": lambda draw: ps.build_grid(2, 2, _extent(draw)),

@@ -216,6 +216,16 @@ class TestCheckedPlayers:
         with pytest.raises(ValueError, match=r"^player 'mid_a' was prepared on other weights$"):
             ps.compute_matrix(players, weights, n_perm=9, workers=2)
 
+    @pytest.mark.parametrize("players_first", [True, False])
+    def test_players_mixed_with_heatmaps_rejected(self, five, weights, players_first):
+        players, heatmaps = roster.check_roster(five[:2], weights), list(five[2:])
+        mixed = players + heatmaps if players_first else heatmaps + players
+        message = "^a roster is all heatmaps or all prepared players, not a mix$"
+        with pytest.raises(ValueError, match=message):
+            roster.check_roster(mixed, weights)
+        with pytest.raises(ValueError, match=message):
+            ps.compute_matrix(mixed, weights, n_perm=9)
+
 
 class TestPoolCleanup:
     """No pool process outlives the run that started it."""
@@ -629,6 +639,56 @@ class TestPairJob:
         assert np.array_equal(m.pseudo_distance, want.pseudo_distance)
 
 
+HALVES = np.full((2, 2), 0.5)  # a valid 2x2 p and L matrix
+
+
+class TestRosterMatrixRules:
+    """A RosterMatrix is checked when it is built, so both writers take it as it is."""
+
+    def test_fields_are_kept_as_checked_copies(self):
+        p, lee = np.array([[0.5, 0.25], [0.25, 0.5]]), [[1, -2], [-2, 3]]
+        m = ps.RosterMatrix(["a", "b"], p, lee, np.int64(9), np.uint64(3))
+        p[0, 1] = p[1, 0] = 0.75
+        assert m.player_ids == ("a", "b")
+        assert (type(m.n_perm), type(m.master_seed)) == (int, int)
+        assert m.pseudo_distance[0, 1] == 0.25
+        for a in (m.pseudo_distance, m.statistic):
+            assert a.dtype == np.float64 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            m.statistic[0, 0] = 0.0
+
+    @pytest.mark.parametrize("field", ["pseudo_distance", "statistic"])
+    def test_asymmetric_matrix_refused(self, five_matrix, field):
+        values = getattr(five_matrix, field).copy()
+        values[0, 1] = values[1, 0] / 2
+        with pytest.raises(ValueError, match=f"^{field} must be 5x5, finite and symmetric$"):
+            dataclasses.replace(five_matrix, **{field: values})
+
+    def test_more_ids_than_rows_refused(self):
+        with pytest.raises(ValueError, match="^pseudo_distance must be 3x3, finite and symmetric$"):
+            ps.RosterMatrix(("a", "b", "c"), HALVES, HALVES, 9, 0)
+
+    def test_duplicate_ids_refused(self):
+        with pytest.raises(ValueError, match="^player ids must be distinct$"):
+            ps.RosterMatrix(("a", "a"), HALVES, HALVES, 9, 0)
+
+    @pytest.mark.parametrize("off", [0.0, -0.5, 1.5])
+    def test_p_outside_zero_one_refused(self, off):
+        p = np.array([[1.0, off], [off, 1.0]])
+        with pytest.raises(ValueError, match=r"^p-values must be in \(0, 1\]$"):
+            ps.RosterMatrix(("a", "b"), p, HALVES, 9, 0)
+
+    @pytest.mark.parametrize("n_perm, master_seed, error", [
+        (0, 0, InsufficientPermutations),
+        (9, 1 << 64, ValueError),
+        (9.0, 0, TypeError),
+        (9, "0", TypeError),
+    ])
+    def test_counts_follow_their_rules(self, n_perm, master_seed, error):
+        with pytest.raises(error):
+            ps.RosterMatrix(("a", "b"), HALVES, HALVES, n_perm, master_seed)
+
+
 class TestSerialization:
     def test_json_round_trip(self, five_matrix):
         doc = json.loads(json.dumps(ps.matrix_to_json(five_matrix)))
@@ -641,11 +701,11 @@ class TestSerialization:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["pseudo_distance", "statistic"])
     def test_non_finite_value_refused_for_json(self, five_matrix, field, bad):
+        # the record refuses it, so no writer ever sees it
         values = getattr(five_matrix, field).copy()
         values[0, 1] = values[1, 0] = bad
-        m = dataclasses.replace(five_matrix, **{field: values})
-        with pytest.raises(ValueError, match="^p and L values must be finite for JSON export$"):
-            ps.matrix_to_json(m)
+        with pytest.raises(ValueError, match=f"^{field} must be 5x5, finite and symmetric$"):
+            dataclasses.replace(five_matrix, **{field: values})
 
     def test_pairs_csv_layout(self, five_matrix):
         text = ps.pairs_to_csv(five_matrix)
