@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _HOMES
-from .errors import AsymmetricInput, NaNInput, as_float64, check_cut
+from .errors import AsymmetricInput, NaNInput, as_float64, as_ints, check_cut
 
 __all__ = list(_HOMES["cluster"])
 
@@ -23,10 +23,11 @@ class Merge(NamedTuple):
 
 @dataclass(frozen=True)
 class Dendrogram:
-    """Merge tree over the players ``ids``, all distinct and at least one.
+    """Merge tree over the players ``ids``, distinct strs and at least one.
 
-    Leaf i is ``ids[i]``; the t-th merge creates internal node k+t.
-    Complete linkage guarantees non-decreasing merge heights; a NaN one is refused.
+    Leaf i is ``ids[i]``; the t-th merge, a ``(left, right, height)`` triple kept as
+    ``Merge(int, int, float)``, creates internal node k+t. Heights are >= 0 and
+    non-decreasing, as complete linkage gives them; NaN is refused, inf kept.
     """
 
     ids: tuple[str, ...]
@@ -36,20 +37,30 @@ class Dendrogram:
         object.__setattr__(self, "ids", tuple(self.ids))
         if not self.ids:
             raise ValueError("a dendrogram needs at least one leaf")
+        if not all(isinstance(i, str) for i in self.ids):
+            raise ValueError(f"player ids must be strs, got {self.ids!r}")
         if len(set(self.ids)) != self.n_leaves:
             raise ValueError("player ids must be distinct")
-        if len(self.merges) != self.n_leaves - 1:
+        try:
+            given = [Merge(*m) for m in self.merges]
+        except TypeError:
+            raise ValueError("each merge must be a (left, right, height) triple") from None
+        if len(given) != self.n_leaves - 1:
             raise ValueError(
-                f"{self.n_leaves} leaves need {self.n_leaves - 1} merges, "
-                f"got {len(self.merges)}"
-            )
-        seen = set()
-        heights = [m.height for m in self.merges]
-        if any(h != h for h in heights):  # NaN is the one number unequal to itself
+                f"{self.n_leaves} leaves need {self.n_leaves - 1} merges, got {len(given)}")
+        children = as_ints([c for m in given for c in m[:2]], "merge child")
+        heights = as_float64([m.height for m in given], "dendrogram")
+        if children.shape != (2 * len(given),) or heights.shape != (len(given),):
+            raise ValueError("each merge must be a (left, right, height) triple")
+        if np.isnan(heights).any():
             raise NaNInput("merge heights must not be NaN")
-        if any(b < a for a, b in zip(heights, heights[1:])):
-            raise ValueError("merge heights must be non-decreasing")
-        for t, m in enumerate(self.merges):
+        if (heights < np.append(0.0, heights[:-1])).any():
+            raise ValueError("merge heights must be >= 0 and non-decreasing")
+        merges = tuple(Merge(int(a), int(b), h)
+                       for a, b, h in zip(children[::2], children[1::2], heights.tolist()))
+        object.__setattr__(self, "merges", merges)
+        seen = set()
+        for t, m in enumerate(merges):
             limit = self.n_leaves + t
             for child in (m.left, m.right):
                 if not (0 <= child < limit):
@@ -112,7 +123,7 @@ def complete_linkage(d, ids) -> Dendrogram:
         a, b = divmod(int(np.argmin(work)), k)
         if a == b:                   # all remaining distances are inf
             a, b = [row for row, node in enumerate(node_id) if node is not None][:2]
-        merges.append(Merge(left=node_id[a], right=node_id[b], height=float(work[a, b])))
+        merges.append(Merge(left=node_id[a], right=node_id[b], height=work[a, b]))
         # complete-linkage update: row a becomes the merged cluster; like
         # max(), keep row a's value unless row b's is larger
         work[a] = work[:, a] = np.where(work[b] > work[a], work[b], work[a])
@@ -152,7 +163,7 @@ def _newick_name(name: str) -> str:
 
 
 def _check_finite_heights(dend: Dendrogram, export: str) -> None:
-    if not np.isfinite(as_float64([m.height for m in dend.merges], "dendrogram")).all():
+    if not np.isfinite([m.height for m in dend.merges]).all():
         raise ValueError(f"merge heights must be finite for {export} export")
 
 
@@ -192,7 +203,7 @@ def merges_to_json(dend: Dendrogram) -> dict:
     """
     _check_finite_heights(dend, "JSON")
     return {"ids": list(dend.ids),
-            "merges": [{"left": m.left, "right": m.right, "height": float(m.height)}
+            "merges": [{"left": m.left, "right": m.right, "height": m.height}
                        for m in dend.merges]}
 
 

@@ -1,4 +1,4 @@
-"""Exception types of the pitchsim pipeline, the setting rules and the float64 conversion."""
+"""Exception types of the pitchsim pipeline, the setting rules and the number conversions."""
 
 import math
 import operator
@@ -40,6 +40,18 @@ def as_float64(values, what: str) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{what} holds a number too large for float64") from None
+
+
+def as_ints(values, what: str) -> np.ndarray:
+    """The integer rule: ints of any width as an array, never cast; anything else, even a
+    bool among ints, is refused. An ndarray of integer dtype is kept as it is."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    a = np.asarray(values, dtype=object)
+    for v in a.flat:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{what} must be an int, got {v!r}")
+    return a
 
 
 def check_bandwidth(bandwidth) -> None:

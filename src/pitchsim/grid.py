@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _HOMES
-from .errors import InvalidDimension, IsolatedCell, as_float64
+from .errors import InvalidDimension, IsolatedCell, as_float64, as_ints
 
 __all__ = list(_HOMES["grid"])
 
@@ -74,17 +74,6 @@ class PitchGrid:
         return np.column_stack([xs.ravel(), ys.ravel()])
 
 
-def _as_ints(values, what: str) -> np.ndarray:
-    """The integer rule: ints of any width as an array, never cast; anything else is refused."""
-    a = np.asarray(values)
-    if a.dtype.kind not in "iu":  # a bool, float, string, None, or an int past int64 (object)
-        a = np.asarray(values, dtype=object)
-        for v in a.flat:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{what} must be an int, got {v!r}")
-    return a
-
-
 class WeightsMatrix:
     """Binary contiguity weights over ``n`` cells, from ``(i, j)`` neighbour pairs.
 
@@ -98,14 +87,14 @@ class WeightsMatrix:
     """
 
     def __init__(self, n: int, pairs, grid=None):
-        n = _as_ints(n, "n")
+        n = as_ints(n, "n")
         if n.ndim or n < 1:
             raise ValueError(f"weights need n >= 1 cells, got n = {n}")
-        n = n.item()
-        p = _as_ints(pairs, "neighbour index").reshape(-1, 2)
+        n = int(n)
+        p = as_ints(pairs, "neighbour index").reshape(-1, 2)
         same = p[:, 0] == p[:, 1]
         if same.any():
-            raise ValueError(f"self-neighbour entry {tuple(p[same.argmax()].tolist())}")
+            raise ValueError(f"self-neighbour entry {tuple(map(int, p[same.argmax()]))}")
         if p.size and (p.min() < 0 or p.max() >= n):
             raise ValueError(f"neighbour index outside [0, {n})")
         p = p.astype(np.intp)

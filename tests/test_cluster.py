@@ -1,7 +1,10 @@
 """Complete-linkage clustering, dendrogram cut, and Newick export."""
 
+import json
 import math
+import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +49,18 @@ def _ids(k):
 def _random_distance(rng, k):
     d = rng.uniform(0.01, 1.0, (k, k))
     d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _kind_distance(rng, k, kind):
+    """A k x k distance matrix: random, piled on a floor, all equal, or some of it inf."""
+    if kind == "random":
+        return _random_distance(rng, k)
+    levels = {"floor-saturated": [0.001, 0.001, 0.001, 0.5, 1.0], "all equal": [0.5],
+              "some inf": [0.1, 0.5, math.inf]}[kind]
+    d = np.array(levels)[rng.integers(0, len(levels), (k, k))]
+    d = np.maximum(d, d.T)
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -327,16 +342,7 @@ class TestCutDefinition:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12), st.sampled_from(KINDS), st.integers(0, 2**32 - 1))
     def test_labels_follow_first_common_merges(self, k, kind, seed):
-        rng = np.random.default_rng(seed)
-        if kind == "random":
-            d = _random_distance(rng, k)
-        else:
-            levels = np.array([0.001, 0.001, 0.001, 0.5, 1.0] if kind == "floor-saturated"
-                              else [0.5])
-            d = levels[rng.integers(0, len(levels), (k, k))]
-            d = np.maximum(d, d.T)
-            np.fill_diagonal(d, 0.0)
-        dend = ps.complete_linkage(d, _ids(k))
+        dend = ps.complete_linkage(_kind_distance(np.random.default_rng(seed), k, kind), _ids(k))
         # height of each pair's first common merge, from the merge list alone
         first = {}
         members = [[leaf] for leaf in range(k)]
@@ -455,6 +461,92 @@ class TestDendrogramValidation:
     def test_nan_height_rejected(self, merges):
         with pytest.raises(NaNInput, match="^merge heights must not be NaN$"):
             ps.Dendrogram(("a", "b", "c"), merges)
+
+
+    def test_ids_that_are_not_strs_rejected(self):
+        # an int id would reach export_newick and end there in a TypeError
+        with pytest.raises(ValueError, match=r"^player ids must be strs, got \(1, 2\)$"):
+            ps.complete_linkage(np.array([[0.0, 0.5], [0.5, 0.0]]), [1, 2])
+
+    def test_merges_are_kept_as_a_tuple(self):
+        # a list kept as given could take a NaN merge after the checks ran
+        dend = ps.Dendrogram(["a", "b", "c"], [ps.Merge(0, 1, 0.1), ps.Merge(2, 3, 0.5)])
+        assert dend.merges == (ps.Merge(0, 1, 0.1), ps.Merge(2, 3, 0.5))
+        with pytest.raises(TypeError):
+            dend.merges[1] = ps.Merge(2, 3, math.nan)
+        assert ps.cut(dend, 0.2) == [1, 1, 2]
+
+    def test_plain_triples_are_kept_as_merges_of_int_int_float(self):
+        dend = ps.Dendrogram(["a", "b", "c"],
+                             [(np.int64(0), np.uint8(1), 0), (3, 2, np.float32(0.5))])
+        assert dend.merges == (ps.Merge(0, 1, 0.0), ps.Merge(3, 2, 0.5))
+        assert all(type(m) is ps.Merge and type(m.left) is type(m.right) is int
+                   and type(m.height) is float for m in dend.merges)
+        assert ps.export_newick(dend) == "((a:0.0,b:0.0):0.25,c:0.25);"
+
+    @pytest.mark.parametrize("merge, message", [
+        (ps.Merge(0, 1.0, 0.1), "merge child must be an int, got 1.0"),
+        (ps.Merge(0.5, 1, 0.1), "merge child must be an int, got 0.5"),
+        (ps.Merge(True, 0, 0.1), "merge child must be an int, got True"),
+        (ps.Merge(0, 1, "x"), "could not convert string to float: 'x'"),
+        (ps.Merge(0, 1, -1.0), "merge heights must be >= 0 and non-decreasing"),
+        (ps.Merge(0, 1, 10**400), "dendrogram holds a number too large for float64"),
+        ((0, 1), "each merge must be a (left, right, height) triple"),
+        ((0, 1, 0.1, 0.2), "each merge must be a (left, right, height) triple"),
+        (5, "each merge must be a (left, right, height) triple"),
+        (([0], [1], 0.1), "each merge must be a (left, right, height) triple"),
+        ((0, 1, [0.1]), "each merge must be a (left, right, height) triple"),
+    ])
+    def test_merge_that_is_not_int_int_height_rejected(self, merge, message):
+        # kept, each of these would end in a TypeError or AttributeError in cut or an
+        # export, or be written there as given
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ps.Dendrogram(["a", "b"], [merge])
+
+    def test_none_height_reads_as_nan(self):
+        with pytest.raises(NaNInput, match="^merge heights must not be NaN$"):
+            ps.Dendrogram(["a", "b"], [ps.Merge(0, 1, None)])
+
+    def test_infinite_height_kept(self):
+        dend = ps.Dendrogram(["a", "b", "c"], [(0, 1, 0.5), (2, 3, math.inf)])
+        assert dend.merges[-1].height == math.inf and ps.cut(dend, 1.0) == [1, 1, 2]
+
+
+def _reads(dend):
+    """What the exports and cut read from a record: text or refusal, document or refusal,
+    and the labels at every merge height and between them."""
+    out = []
+    for export in (ps.export_newick, ps.merges_to_json):
+        try:
+            out.append(export(dend))
+        except ValueError as exc:
+            out.append(str(exc))
+    heights = sorted({m.height for m in dend.merges if m.height < math.inf} | {0.0})
+    cuts = {*heights, *(np.nextafter(h, math.inf) for h in heights)}
+    return out + [ps.cut(dend, float(h)) for h in sorted(cuts)]
+
+
+class TestRebuiltRecord:
+    """A Dendrogram rebuilt from the ids and merges that merges_to_json writes, as plain
+    JSON values, is the record complete_linkage built, and reads the same."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 12), st.sampled_from(TestCutDefinition.KINDS + ["some inf"]),
+           st.integers(0, 2**32 - 1))
+    def test_rebuilt_from_its_json_reads_the_same(self, k, kind, seed):
+        dend = ps.complete_linkage(_kind_distance(np.random.default_rng(seed), k, kind),
+                                   _ids(k))
+        if all(m.height < math.inf for m in dend.merges):
+            doc = json.loads(json.dumps(ps.merges_to_json(dend)))
+            ids, merges = doc["ids"], [(m["left"], m["right"], m["height"])
+                                       for m in doc["merges"]]
+        else:  # JSON has no infinity: rebuild from the merges as plain triples
+            ids, merges = list(dend.ids), [tuple(m) for m in dend.merges]
+        again = ps.Dendrogram(ids, merges)
+        assert again == dend
+        assert _reads(again) == _reads(dend)
 
 
 class TestSerialization:

@@ -178,9 +178,11 @@ class TestWeightsMatrix:
         w = ps.WeightsMatrix(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
         assert np.array_equal(_through_lag(w), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
-    def test_rejects_self_pair(self):
-        with pytest.raises(ValueError):
-            ps.WeightsMatrix(3, [(1, 1)])
+    @pytest.mark.parametrize("pairs", [[(1, 1)], [(np.int64(1), np.int64(1))],
+                                       np.array([[0, 1], [1, 1]])])
+    def test_rejects_self_pair(self, pairs):
+        with pytest.raises(ValueError, match=r"^self-neighbour entry \(1, 1\)$"):
+            ps.WeightsMatrix(3, pairs)
 
     def test_rejects_pair_outside_lattice(self):
         for pair in ((0, 3), (-1, 2), (0, 10**30), (-10**30, 1), (0, 2**63), (0, 2**64)):
@@ -202,6 +204,15 @@ class TestWeightsMatrix:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 ps.WeightsMatrix(n, pairs)
+
+    @pytest.mark.parametrize("pairs", [[(0, 1), (True, 2)], [(0, 1), (1, np.True_)],
+                                       [np.array([0, 1]), (1, False)]])
+    def test_bool_among_ints_refused(self, pairs):
+        # numpy casts a list of ints and bools to int64 before any bool could be seen;
+        # the message shows np.True_ as numpy 2 writes it, or True under numpy 1
+        with pytest.raises(ValueError,
+                           match=r"^neighbour index must be an int, got (np\.)?(True|False)_?$"):
+            ps.WeightsMatrix(3, pairs)
 
     @pytest.mark.parametrize("n, pairs, cell", [
         (10**30, [(0, 1)], 2), (2**62, [(0, 1), (2, 3)], 4), (3, [], 0),

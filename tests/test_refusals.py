@@ -25,7 +25,7 @@ from pitchsim.svg import bar_chart_svg, matrix_svg
 EXTREMES = [10**400, -10**400, math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324,
             1.7e308, -1.7e308, 2**64]
 NUMBER = st.sampled_from(EXTREMES) | st.sampled_from([0.25, 1.0, 2.0, 60.0])
-# cell counts and neighbour indices: ints, some of them valid, and a bool
+# cell counts, neighbour indices and merge children: ints, some of them valid, and a bool
 INDEX = st.sampled_from([-1, 0, 1, 2, 3, 2**63, True])
 
 GRID = ps.build_grid(2, 2)
@@ -53,7 +53,9 @@ def _distances(draw) -> list:
 
 def _dendrogram(draw) -> ps.Dendrogram:
     low, high = _numbers(draw, 2)
-    return ps.Dendrogram(["a", "b", "c"], [ps.Merge(0, 1, low), ps.Merge(2, 3, high)])
+    # a valid tree half the time, so that cut and the exports get to read the heights
+    a, b, c, d = draw(st.just([0, 1, 2, 3]) | st.lists(INDEX, min_size=4, max_size=4))
+    return ps.Dendrogram(["a", "b", "c"], [ps.Merge(a, b, low), ps.Merge(c, d, high)])
 
 
 def _roster_matrix(draw) -> ps.RosterMatrix:
@@ -121,8 +123,7 @@ OVERFLOWS = {
     "matrix holds": lambda: matrix_svg([[0, BIG], [BIG, 0]], ["a", "b"]),
     "bar counts array holds": lambda: bar_chart_svg([0.0, 1.0], [BIG]),
     "bar edges array holds": lambda: bar_chart_svg([0, BIG], [1]),
-    "dendrogram holds":
-        lambda: ps.merges_to_json(ps.Dendrogram(["a", "b"], [ps.Merge(0, 1, BIG)])),
+    "dendrogram holds": lambda: ps.Dendrogram(["a", "b"], [ps.Merge(0, 1, BIG)]),
 }
 
 
@@ -141,6 +142,7 @@ NOT_INTS = {
     "NaN in a float array": lambda: ps.WeightsMatrix(3, np.array([[0, 1.0], [1, np.nan]])),
     "string index": lambda: ps.WeightsMatrix(2, [("0", "1")]),
     "bool index": lambda: ps.WeightsMatrix(2, [(False, True)]),
+    "bool among ints": lambda: ps.WeightsMatrix(3, [(0, 1), (True, 2)]),
     "float n": lambda: ps.WeightsMatrix(2.5, [(0, 1)]),
     "n past intp": lambda: ps.WeightsMatrix(10**30, [(0, 1)]),
 }
